@@ -14,7 +14,6 @@ import numpy as np
 from repro.core import Partition, cost
 from repro.generators import planted_partition_hypergraph
 from repro.partitioners import (
-    coarsen_step,
     fm_refine,
     multilevel_partition,
     random_balanced_partition,
@@ -22,6 +21,7 @@ from repro.partitioners import (
     weight_caps,
 )
 from repro.partitioners.multilevel import _initial_portfolio
+from repro.partitioners.subround import subround_coarsen_step
 
 from _util import once, print_table
 
@@ -37,7 +37,9 @@ def _no_fm_variant(g, k, eps, rng):
     levels = []
     cur = g
     while cur.n > max(40, 4 * k):
-        step = coarsen_step(cur, gen, max_cluster_weight=float(caps[0]) / 3)
+        step = subround_coarsen_step(cur, gen,
+                                     max_cluster_weight=float(caps[0]) / 3,
+                                     pool=None)
         if step is None or step[0].n >= cur.n:
             break
         coarse, mapping = step

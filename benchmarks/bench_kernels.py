@@ -1,7 +1,10 @@
 """Kernel microbenchmarks: vectorised CSR kernels vs ``_reference_*`` oracles.
 
 Times every kernel in :mod:`repro.core.kernels` against its retained
-Python-loop reference on random hypergraphs of growing size and writes
+Python-loop reference on random hypergraphs of growing size — plus, on
+cases small enough for the multilevel partitioner to hand to the heap
+FM, ``fm_refine`` against its per-node ``_reference_fm_refine`` loop
+(row ``heap_fm``) — and writes
 ``BENCH_kernels.json`` next to this file — the committed baseline that
 ``scripts/check_bench_regression.py`` (and the opt-in ``-m benchcheck``
 pytest marker) compares fresh runs against.
@@ -30,7 +33,8 @@ import numpy as np
 
 from repro.core import cost, kernels
 from repro.generators import planted_partition_hypergraph, random_hypergraph
-from repro.partitioners import multilevel_partition
+from repro.partitioners import fm, multilevel_partition
+from repro.partitioners.multilevel import _SYNC_FM_MIN_NODES
 
 from _util import print_table
 
@@ -106,6 +110,12 @@ def bench_case(n: int, m: int, seed: int, repeats: int) -> dict:
             lambda: kernels.adjacency_csr(ptr, pins, n),
         ),
     }
+    if n < _SYNC_FM_MIN_NODES:
+        # larger levels refine with the sub-round FM, never the heap FM
+        pairs["heap_fm"] = (
+            lambda: fm._reference_fm_refine(graph, labels, k=k),
+            lambda: fm.fm_refine(graph, labels, k=k),
+        )
     out = {}
     for name, (ref, vec) in pairs.items():
         t_ref = _best(ref, repeats)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import shutil
+import signal
 import tempfile
 import time
 import traceback
@@ -45,6 +46,10 @@ __all__ = ["TaskResult", "execute", "mp_context", "reap_process",
 
 _POLL_S = 0.01
 _KILL_GRACE_S = 0.5
+
+#: Signals whose parent-side handlers a fork-started worker must shed
+#: (see :func:`reset_inherited_signals`).
+INHERITED_SIGNALS = (signal.SIGTERM, signal.SIGINT, signal.SIGHUP)
 
 
 @dataclass
@@ -95,18 +100,23 @@ def reset_inherited_signals() -> None:
     dispatches its own SIGTERM callback: the server shuts itself down
     because its worker died.  Restoring default dispositions and
     clearing the wakeup fd first thing in the child severs the link.
-    """
-    import signal
 
+    A parent that blocks these signals around ``Process.start`` (see
+    :func:`repro.serve.pool.run_batch`) closes the window before this
+    reset runs: the child is born with them blocked, and they are
+    unblocked only here, after the defaults are back — a SIGTERM that
+    arrived early is then delivered to the default handler.
+    """
     try:
         signal.set_wakeup_fd(-1)
     except (ValueError, OSError):
         pass                        # non-main thread or closed fd
-    for sig in (signal.SIGTERM, signal.SIGINT, signal.SIGHUP):
+    for sig in INHERITED_SIGNALS:
         try:
             signal.signal(sig, signal.SIG_DFL)
         except (ValueError, OSError):
             pass
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, INHERITED_SIGNALS)
 
 
 def _child_main(payload: dict) -> None:

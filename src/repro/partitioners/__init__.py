@@ -5,7 +5,7 @@ from .exact import exact_bisection, exact_decision, exact_partition
 from .fm import fm_bipartition_refine, fm_refine
 from .greedy import bfs_growth_partition, greedy_sequential_partition
 from .kl_swap import kl_swap_refine
-from .multilevel import coarsen_step, multilevel_partition
+from .multilevel import multilevel_partition
 from .random_part import random_balanced_labels, random_balanced_partition
 from .spectral import (
     clique_expansion_laplacian,
@@ -24,7 +24,6 @@ __all__ = [
     "PartitionResult",
     "bfs_growth_partition",
     "clique_expansion_laplacian",
-    "coarsen_step",
     "default_split",
     "evaluate",
     "exact_bisection",

@@ -12,6 +12,7 @@ rollback, supports both cost metrics, arbitrary ``k``, node weights
 from __future__ import annotations
 
 import heapq
+import math
 from itertools import count
 from typing import Sequence
 
@@ -44,6 +45,8 @@ class _State:
         self.nonzero = (self.pin_counts > 0).sum(axis=1)
         self.part_weight = np.zeros(k, dtype=np.float64)
         np.add.at(self.part_weight, labels, graph.node_weights)
+        # Raw per-part move deltas, one row per node, filled by ``rate``.
+        self.deltas = np.zeros((graph.n, k), dtype=np.float64)
 
     def move_delta(self, v: int, b: int, metric: Metric) -> float:
         """Cost change of moving node ``v`` to part ``b`` (negative = better)."""
@@ -70,14 +73,14 @@ class _State:
 
     def apply(self, v: int, b: int) -> None:
         a = int(self.labels[v])
-        for j in self.graph.incident_edges(v):
-            j = int(j)
-            self.pin_counts[j, a] -= 1
-            if self.pin_counts[j, a] == 0:
-                self.nonzero[j] -= 1
-            if self.pin_counts[j, b] == 0:
-                self.nonzero[j] += 1
-            self.pin_counts[j, b] += 1
+        # a node's incident edges are distinct: gather their rows, move
+        # one pin from a to b, scatter them back
+        inc = self.graph.incident_edges(v)
+        rows = self.pin_counts[inc]
+        rows[:, a] -= 1
+        rows[:, b] += 1
+        self.pin_counts[inc] = rows
+        self.nonzero[inc] = (rows > 0).sum(axis=1)
         w = self.graph.node_weights[v]
         self.part_weight[a] -= w
         self.part_weight[b] += w
@@ -88,8 +91,9 @@ class _State:
 
         Vectorised over all k targets: the per-edge pin-count rows of
         ``v``'s incident hyperedges are gathered once and the move delta
-        for every target part computed with array ops (the profiled hot
-        path of refinement).
+        for every target part computed with array ops.  This is the
+        one-node rating of :func:`_reference_fm_refine`; ``rate`` forms
+        the same sums for a batch of nodes.
         """
         a = int(self.labels[v])
         w = self.graph.node_weights[v]
@@ -119,6 +123,60 @@ class _State:
             return None
         return (float(deltas[b]), b)
 
+    def rate(self, nodes: np.ndarray, caps: np.ndarray,
+             metric: Metric) -> np.ndarray:
+        """Re-rate ``nodes`` in one batch; return each one's best delta.
+
+        The incidence rows of ``nodes`` are gathered once and the move
+        delta of every (node, part) pair is summed by ``bincount`` into
+        ``self.deltas[nodes]`` — the same sums ``best_move`` forms row
+        by row.  The returned array holds each node's most-improving
+        delta over the parts it may enter under ``caps`` (``inf`` where
+        none is feasible).
+        """
+        g = self.graph
+        k = self.k
+        rows = nodes.size
+        node_ptr, node_edges = g.incidence()
+        row_ptr, inc = kernels.gather_rows(node_ptr, node_edges, nodes)
+        owner = np.repeat(np.arange(rows), row_ptr[1:] - row_ptr[:-1])
+        own = self.labels[nodes]
+        pc = self.pin_counts[inc]                    # (pins, k)
+        ew = g.edge_weights[inc]
+        leaves = self.pin_counts[inc, own[owner]] == 1
+        cells = ((owner * k)[:, None] + np.arange(k)).ravel()
+        # delta[r, b] = per_part[r, b] - common[r], as in best_move
+        if metric == Metric.CONNECTIVITY:
+            common = np.bincount(owner, weights=ew * leaves, minlength=rows)
+            per_part = ew[:, None] * (pc == 0)
+        else:  # CUT_NET
+            nz = self.nonzero[inc]
+            common = np.bincount(owner, weights=ew * (nz > 1),
+                                 minlength=rows)
+            per_part = ew[:, None] * (((nz - leaves)[:, None] + (pc == 0))
+                                      > 1)
+        deltas = (np.bincount(cells, weights=per_part.ravel(),
+                              minlength=rows * k).reshape(rows, k)
+                  - common[:, None])
+        self.deltas[nodes] = deltas
+        feasible = leq(self.part_weight + g.node_weights[nodes][:, None], caps)
+        feasible[np.arange(rows), own] = False
+        return np.where(feasible, deltas, np.inf).min(axis=1)
+
+    def cached_move(self, v: int, caps: np.ndarray) -> tuple[float, int] | None:
+        """``best_move`` from the deltas ``rate`` last stored for ``v``.
+
+        Exact as long as ``v`` was re-rated after the last move of any
+        node it shares a hyperedge with: only such moves change the
+        pin-count rows its deltas are summed from.
+        """
+        feasible = leq(self.part_weight + self.graph.node_weights[v], caps)
+        feasible[self.labels[v]] = False
+        deltas = np.where(feasible, self.deltas[v], np.inf)
+        b = int(deltas.argmin())
+        d = float(deltas[b])
+        return (d, b) if math.isfinite(d) else None
+
 
 def _adjacency(graph: Hypergraph) -> list[np.ndarray]:
     """Per-node neighbour arrays (nodes sharing a hyperedge), computed
@@ -126,6 +184,23 @@ def _adjacency(graph: Hypergraph) -> list[np.ndarray]:
     ptr, pins = graph.csr()
     adj_ptr, adj_nodes = kernels.adjacency_csr(ptr, pins, graph.n)
     return [adj_nodes[adj_ptr[v]:adj_ptr[v + 1]] for v in range(graph.n)]
+
+
+def _prepare(graph, partition, k, eps, caps, locked, relaxed):
+    """Normalise ``fm_refine`` inputs to ``(labels, k, caps, locked)``."""
+    if isinstance(partition, Partition):
+        labels = partition.labels.copy()
+        k = partition.k
+    else:
+        if k is None:
+            raise ValueError("k required for raw label vectors")
+        labels = np.asarray(partition, dtype=np.int64).copy()
+    if caps is None:
+        caps = weight_caps(graph, k, eps, relaxed=relaxed)
+    locked_base = np.zeros(graph.n, dtype=bool)
+    if locked is not None:
+        locked_base[np.asarray(list(locked), dtype=np.int64)] = True
+    return labels, k, caps, locked_base
 
 
 def fm_refine(
@@ -149,20 +224,15 @@ def fm_refine(
     ``caps`` overrides the default ε-balance weight capacities — the
     recursive partitioner uses this for uneven target sizes.  ``locked``
     nodes never move (fixed-colour gadget nodes).
-    """
-    if isinstance(partition, Partition):
-        labels = partition.labels.copy()
-        k = partition.k
-    else:
-        if k is None:
-            raise ValueError("k required for raw label vectors")
-        labels = np.asarray(partition, dtype=np.int64).copy()
-    if caps is None:
-        caps = weight_caps(graph, k, eps, relaxed=relaxed)
-    locked_base = np.zeros(graph.n, dtype=bool)
-    if locked is not None:
-        locked_base[np.asarray(list(locked), dtype=np.int64)] = True
 
+    Gains are kept in a per-node delta cache: the pass-start heap fill
+    and the re-rating of a moved node's unlocked neighbours are each one
+    batched ``_State.rate``, and a popped node is re-checked from its
+    stored row against the current part weights.  The move sequence is
+    that of :func:`_reference_fm_refine`, which rates node by node.
+    """
+    labels, k, caps, locked_base = _prepare(graph, partition, k, eps, caps,
+                                            locked, relaxed)
     state = _State(graph, labels, k)
     adjacency = _adjacency(graph)
     # Classic FM slack: during a pass a part may exceed its cap by one
@@ -174,10 +244,86 @@ def fm_refine(
     def feasible() -> bool:
         return bool(np.all(leq(state.part_weight, caps)))
 
+    def push(heap: list, nodes: np.ndarray) -> None:
+        best = state.rate(nodes, pass_caps, metric)
+        ok = np.isfinite(best)
+        for d, v in zip(best[ok].tolist(), nodes[ok].tolist()):
+            heapq.heappush(heap, (d, next(tick), v))
+
     start_feasible = feasible()
     tick = count()
     for _pass in range(max_passes):
         instrument.bump("fm_passes")
+        locked_now = locked_base.copy()
+        heap: list[tuple[float, int, int]] = []
+        push(heap, np.flatnonzero(~locked_now))
+        moves: list[tuple[int, int]] = []  # (node, previous part)
+        cum = 0.0
+        best_cum = 0.0
+        best_len = 0
+        while heap:
+            d, _, v = heapq.heappop(heap)
+            if locked_now[v]:
+                continue
+            mv = state.cached_move(v, pass_caps)
+            if mv is None:
+                continue
+            if gt(mv[0], d, atol=GAIN_ATOL):
+                heapq.heappush(heap, (mv[0], next(tick), v))
+                continue
+            d, b = mv
+            moves.append((v, int(state.labels[v])))
+            state.apply(v, b)
+            locked_now[v] = True
+            cum += d
+            acceptable = feasible() or not start_feasible
+            if acceptable and lt(cum, best_cum, atol=GAIN_ATOL):
+                best_cum = cum
+                best_len = len(moves)
+            nbrs = adjacency[v]
+            nbrs = nbrs[~locked_now[nbrs]]
+            if nbrs.size:
+                push(heap, nbrs)
+        # Roll back past the best prefix.
+        for v, prev in reversed(moves[best_len:]):
+            state.apply(v, prev)
+        if geq(best_cum, 0.0, atol=GAIN_ATOL):
+            break
+    if sanitize.ENABLED:
+        sanitize.check_partition(graph, state.labels, k, where="fm_refine")
+    return Partition(state.labels, k)
+
+
+def _reference_fm_refine(
+    graph: Hypergraph,
+    partition: Partition | Sequence[int] | np.ndarray,
+    k: int | None = None,
+    eps: float = 0.0,
+    metric: Metric = Metric.CONNECTIVITY,
+    caps: np.ndarray | None = None,
+    max_passes: int = 8,
+    locked: Sequence[int] | None = None,
+    relaxed: bool = False,
+) -> Partition:
+    """Old ``fm_refine`` pass loop: every rating is a scalar ``best_move``.
+
+    Retained as the oracle of :func:`fm_refine` (property tests in
+    ``tests/partitioners/test_heuristics.py``) and as the reference side
+    of the ``heap_fm`` row in ``benchmarks/bench_kernels.py``.
+    """
+    labels, k, caps, locked_base = _prepare(graph, partition, k, eps, caps,
+                                            locked, relaxed)
+    state = _State(graph, labels, k)
+    adjacency = _adjacency(graph)
+    slack = float(graph.node_weights.max(initial=0.0))
+    pass_caps = caps + slack
+
+    def feasible() -> bool:
+        return bool(np.all(leq(state.part_weight, caps)))
+
+    start_feasible = feasible()
+    tick = count()
+    for _pass in range(max_passes):
         locked_now = locked_base.copy()
         heap: list[tuple[float, int, int]] = []
         for v in range(graph.n):
@@ -186,7 +332,7 @@ def fm_refine(
             mv = state.best_move(v, pass_caps, metric)
             if mv is not None:
                 heapq.heappush(heap, (mv[0], next(tick), v))
-        moves: list[tuple[int, int]] = []  # (node, previous part)
+        moves: list[tuple[int, int]] = []
         cum = 0.0
         best_cum = 0.0
         best_len = 0
@@ -214,13 +360,10 @@ def fm_refine(
                     umv = state.best_move(u, pass_caps, metric)
                     if umv is not None:
                         heapq.heappush(heap, (umv[0], next(tick), u))
-        # Roll back past the best prefix.
         for v, prev in reversed(moves[best_len:]):
             state.apply(v, prev)
         if geq(best_cum, 0.0, atol=GAIN_ATOL):
             break
-    if sanitize.ENABLED:
-        sanitize.check_partition(graph, state.labels, k, where="fm_refine")
     return Partition(state.labels, k)
 
 

@@ -1,9 +1,10 @@
 """Multilevel k-way hypergraph partitioning (coarsen → initial → refine).
 
 The standard practical answer to the paper's inapproximability results:
-heavy-pin matching coarsens the hypergraph, a portfolio of constructive
-heuristics partitions the coarsest level, and FM refinement is applied
-while uncoarsening (the n-level/multilevel scheme of [28, 45]).
+deterministic sub-round clustering coarsens the hypergraph, a portfolio
+of constructive heuristics partitions the coarsest level, and FM
+refinement is applied while uncoarsening (the n-level/multilevel scheme
+of [28, 45]).
 
 Independent work — the V-cycle ``repetitions`` and the candidates of the
 initial portfolio — can execute in parallel worker processes via
@@ -20,7 +21,6 @@ import numpy as np
 
 from .. import instrument
 from ..analyze import sanitize
-from ..core import kernels
 from ..core.cost import Metric, cost
 from ..core.hypergraph import Hypergraph
 from ..core.partition import Partition
@@ -39,7 +39,7 @@ from .subround import (
     subround_fm_refine,
 )
 
-__all__ = ["coarsen_step", "multilevel_partition"]
+__all__ = ["multilevel_partition"]
 
 _SEED_BOUND = 2**62
 
@@ -65,9 +65,15 @@ _SHM_HANDOFF_MIN_PINS = 32_768
 # cannot (it only applies positive-gain prefixes), so it stays in
 # charge wherever it is affordable.  Measured on planted instances:
 # cutover at 2048 recovers the planted cut where 512 left a 6x gap
-# (n=2000: cost 337 vs 2100), while 8192 was ~25x slower end-to-end at
-# 100k pins for ~2% connectivity — the per-move Python loop dominates
-# past a couple thousand nodes.  The pin gate keeps heap FM away from
+# (n=2000: cost 337 vs 2100).  Against 8192, on the 10^5-pin
+# bench_scale --smoke instance (serial, seeds 0 and 1, 2-CPU host),
+# both values make the same heap-FM calls and return the same cut
+# (17030 and 12904): every level there of 900+ nodes has over 65 536
+# pins, so the pin gate already sends it to the sub-round FM.  Wall
+# times, 5.8/3.5 s at 2048 and 4.3/3.7 s at 8192, differ by run-to-run
+# noise only.  2048 stays: raising it hands every level between the two
+# values that has fewer pins than the gate to the heap FM, and so
+# changes labels.  The pin gate keeps heap FM away from
 # coarse-but-dense levels (few hundred nodes, 10^5+ pins) where one
 # pass costs more than the rest of the V-cycle.
 _SYNC_FM_MIN_NODES = 2048
@@ -78,66 +84,6 @@ _SYNC_FM_MIN_PINS = 65_536
 # up, so grinding out the last few percent of contraction (typically
 # against the cluster weight cap) is a net loss.
 _STALL_SHRINK = 0.95
-
-
-def coarsen_step(
-    graph: Hypergraph,
-    rng: np.random.Generator,
-    max_cluster_weight: float,
-) -> tuple[Hypergraph, np.ndarray] | None:
-    """One heavy-pin matching + contraction step.
-
-    Nodes are visited in random order; each unmatched node pairs with the
-    unmatched neighbour maximising the heavy-edge score
-    ``Σ_{e ∋ u,v} w_e / (|e| − 1)``, subject to the merged weight staying
-    below ``max_cluster_weight`` (ties broken by smallest node id).  The
-    per-node score accumulation is vectorised over the CSR arrays: one
-    ragged gather of the incident edges' pins plus a ``bincount``, no
-    Python iteration over pins.  Returns ``(coarser graph, mapping)``
-    or ``None`` when no pair matched (coarsening has converged).
-    """
-    n = graph.n
-    ptr, pins = graph.csr()
-    node_ptr, node_edges = graph.incidence()
-    sizes = np.diff(ptr)
-    # Heavy-pin score contributed by each edge to every co-pin pair;
-    # singleton/empty edges contribute nothing.
-    escore = np.where(sizes > 1,
-                      graph.edge_weights / np.maximum(sizes - 1, 1), 0.0)
-    nw = graph.node_weights
-    match = np.full(n, -1, dtype=np.int64)
-    any_matched = False
-    for v in rng.permutation(n):
-        if match[v] != -1:
-            continue
-        inc = node_edges[node_ptr[v]:node_ptr[v + 1]]
-        if inc.size == 0:
-            continue
-        _, cand = kernels.gather_rows(ptr, pins, inc)
-        contrib = np.repeat(escore[inc], sizes[inc])
-        uniq, inv = np.unique(cand, return_inverse=True)
-        score = np.bincount(inv, weights=contrib)
-        ok = ((uniq != v) & (match[uniq] == -1) & (score > 0.0)
-              & (nw[v] + nw[uniq] <= max_cluster_weight))
-        if not ok.any():
-            continue
-        u = int(uniq[int(np.argmax(np.where(ok, score, -1.0)))])
-        match[v] = u
-        match[u] = v
-        any_matched = True
-    if not any_matched:
-        return None
-    # Group representative = smaller endpoint; ranking the sorted unique
-    # representatives reproduces the first-appearance numbering.
-    ids = np.arange(n, dtype=np.int64)
-    rep = np.where(match == -1, ids, np.minimum(ids, match))
-    uniq_rep, mapping = np.unique(rep, return_inverse=True)
-    mapping = mapping.astype(np.int64)
-    coarse = graph.contract(mapping, num_groups=int(uniq_rep.size))
-    coarse = coarse.merge_parallel_edges()
-    if sanitize.ENABLED:
-        sanitize.check_csr(*coarse.csr(), coarse.n, where="coarsen_step")
-    return coarse, mapping
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +315,12 @@ def _refine(graph, labels, k, eps, metric, caps, pool=None):
     """Pick the refinement engine by level size (instance-dependent only,
     so the choice — and the result — is identical for every ``n_jobs``).
 
-    The heap FM's per-move Python loop costs O(degree) per move, so it
-    is gated on *both* node and pin count: coarse levels of expander-ish
-    instances keep hundreds of thousands of pins across a few hundred
-    nodes, and a single heap pass there costs more than every sub-round
-    pass of the whole V-cycle combined.
+    Every heap-FM move re-rates the mover's neighbours over all their
+    incident edges, so the heap FM is gated on *both* node and pin
+    count: coarse levels of expander-ish instances keep hundreds of
+    thousands of pins across a few hundred nodes, and a single heap
+    pass there costs more than every sub-round pass of the whole
+    V-cycle combined.
     """
     if (graph.n >= _SYNC_FM_MIN_NODES
             or graph.num_pins >= _SYNC_FM_MIN_PINS):

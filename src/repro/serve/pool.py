@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+import signal
 import time
 import traceback
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ from typing import Callable, Mapping, Sequence
 from .. import instrument
 from ..errors import ReproError, SharedMemoryError
 from ..lab.cache import atomic_write_json
-from ..lab.executor import (mp_context, reap_process,
+from ..lab.executor import (INHERITED_SIGNALS, mp_context, reap_process,
                             reset_inherited_signals, terminate_process)
 
 __all__ = ["BatchMember", "MemberOutcome", "run_batch"]
@@ -84,11 +85,11 @@ def _batch_main(payload: dict) -> None:
     A job that raises writes its traceback to the job's error file and
     the loop continues — per-job failure containment *inside* a batch.
     The solver import happens here (worker side) so a fork-started
-    child reuses the parent's warm modules.
+    child reuses the parent's warm modules — after the signal reset,
+    which must come first (see ``run_batch``).
     """
-    from .runner import solve
-
     reset_inherited_signals()
+    from .runner import solve
 
     debug_slow_s = float(payload.get("debug_slow_s", 0.0))
     for job in payload["jobs"]:
@@ -280,7 +281,16 @@ async def run_batch(
         m.errfile.parent.mkdir(parents=True, exist_ok=True)
     ctx = mp_context()
     proc = ctx.Process(target=_batch_main, args=(payload,), daemon=True)
-    proc.start()
+    # The child is born with the shard's handlers and loop wakeup fd; a
+    # SIGTERM it gets before _batch_main resets them (all members may
+    # already be cached, so the first sweep terminates it at once) would
+    # shut the shard down.  Forking with the signals blocked holds any
+    # such SIGTERM until the reset unblocks them.
+    old_mask = signal.pthread_sigmask(signal.SIG_BLOCK, INHERITED_SIGNALS)
+    try:
+        proc.start()
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, old_mask)
     pending = list(ordered)
 
     def sweep() -> None:

@@ -8,16 +8,29 @@ through that shared pipe into the *parent's* loop, which dutifully ran
 its own SIGTERM callback and shut the shard down — a mesh shard would
 half-die: listener closed, pooled keep-alive connections still answering
 "queued" forever.  These tests pin the fix at both layers.
+
+The reset itself used to leave a window: ``run_batch`` can SIGTERM a
+worker it has just forked (every member already cached) before the
+child reaches the reset.  The worker is therefore forked with the
+inherited signals blocked and unblocks them only inside the reset.
 """
 
 from __future__ import annotations
 
+import asyncio
+import json
 import os
 import signal
 import time
+from pathlib import Path
 
-from repro.lab.executor import reset_inherited_signals
+from repro.lab.cache import atomic_write_json
+from repro.lab.executor import (INHERITED_SIGNALS, mp_context,
+                                reset_inherited_signals)
 from repro.mesh.harness import mesh_up
+from repro.serve import parse_job_request
+from repro.serve import pool
+from repro.serve.pool import BatchMember, run_batch
 
 from tests.mesh.test_router import req
 
@@ -71,3 +84,85 @@ def test_sigterm_to_live_worker_leaves_shard_serving(tmp_path):
             out = c.wait(handle["job_id"], timeout_s=30)
             assert out["status"] == "done"
             assert c.health()["status"] == "ok"
+
+
+def _blocked() -> list[int]:
+    return sorted(int(sig) for sig in
+                  signal.pthread_sigmask(signal.SIG_BLOCK, []))
+
+
+def _member(tmp_path: Path, key: str) -> BatchMember:
+    job = parse_job_request({
+        "op": "partition", "k": 2, "eps": 0.1, "algorithm": "greedy",
+        "graph": {"generator": {"kind": "random", "n": 30, "seed": 3}},
+        "seed": 1})
+    return BatchMember(key=key, seed=job.seed, params=job.params,
+                       outfile=tmp_path / f"{key}.json",
+                       errfile=tmp_path / f"{key}.err", deadline_mono=None)
+
+
+def _record_mask(payload: dict) -> None:
+    """Stand-in batch target: report the signal mask it starts with."""
+    for job in payload["jobs"]:
+        atomic_write_json(Path(job["outfile"]),
+                          {"values": {"blocked": _blocked()}})
+    os._exit(0)
+
+
+def _mask_after_reset(path: str) -> None:
+    reset_inherited_signals()
+    Path(path).write_text(json.dumps(_blocked()))
+
+
+def test_batch_worker_starts_with_sigterm_blocked(tmp_path, monkeypatch):
+    monkeypatch.setattr(pool, "_batch_main", _record_mask)
+    member = _member(tmp_path, "m")
+    outcomes = {}
+    asyncio.run(asyncio.wait_for(run_batch(
+        [member], on_outcome=lambda m, o: outcomes.__setitem__(m.key, o)),
+        timeout=30))
+    assert outcomes["m"].status == "ok"
+    blocked = outcomes["m"].payload["values"]["blocked"]
+    assert {int(sig) for sig in INHERITED_SIGNALS} <= set(blocked)
+    # ... and the dispatching thread got its own mask back
+    assert int(signal.SIGTERM) not in _blocked()
+
+
+def test_reset_unblocks_inherited_signals(tmp_path):
+    out = tmp_path / "mask.json"
+    old = signal.pthread_sigmask(signal.SIG_BLOCK, INHERITED_SIGNALS)
+    try:
+        proc = mp_context().Process(target=_mask_after_reset,
+                                    args=(str(out),))
+        proc.start()
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, old)
+    proc.join(30)
+    assert proc.exitcode == 0
+    assert not {int(sig) for sig in INHERITED_SIGNALS} & set(
+        json.loads(out.read_text()))
+
+
+def test_cached_dispatches_never_signal_the_parent_loop(tmp_path):
+    """Every member already cached: run_batch terminates each worker on
+    its first sweep, racing the child's start-up.  The parent loop's
+    SIGTERM handler must never hear about it."""
+    fired: list[int] = []
+
+    async def main() -> None:
+        loop = asyncio.get_running_loop()
+        loop.add_signal_handler(signal.SIGTERM, fired.append, 1)
+        try:
+            for i in range(60):
+                member = _member(tmp_path, f"c{i}")
+                atomic_write_json(member.outfile, {"values": {"hit": i}})
+                statuses: list[str] = []
+                await run_batch([member], on_outcome=lambda m, o:
+                                statuses.append(o.status))
+                assert statuses == ["ok"]
+            await asyncio.sleep(0.2)    # dispatch any stray wakeup byte
+        finally:
+            loop.remove_signal_handler(signal.SIGTERM)
+
+    asyncio.run(asyncio.wait_for(main(), timeout=120))
+    assert fired == []

@@ -15,6 +15,7 @@ from repro.core import (
     cost,
     is_balanced,
 )
+from repro.core.tolerance import GAIN_ATOL, leq
 from repro.generators import (
     block,
     planted_partition_hypergraph,
@@ -22,7 +23,6 @@ from repro.generators import (
 )
 from repro.partitioners import (
     bfs_growth_partition,
-    coarsen_step,
     fm_refine,
     greedy_sequential_partition,
     multilevel_partition,
@@ -30,8 +30,29 @@ from repro.partitioners import (
     recursive_partition,
     restrict_to_nodes,
 )
+from repro.partitioners.fm import _reference_fm_refine, _State
+from repro.partitioners.subround import subround_coarsen_step
 
 from ..conftest import hypergraphs
+
+
+def _weighted(g: Hypergraph, data, integral: bool) -> Hypergraph:
+    """``g`` with drawn node and edge weights (integer-valued or not)."""
+    if integral:
+        node_w, edge_w = st.integers(1, 5), st.integers(0, 5)
+    else:
+        node_w, edge_w = st.floats(0.1, 4.0), st.floats(0.0, 4.0)
+    nw = data.draw(st.lists(node_w, min_size=g.n, max_size=g.n))
+    ew = data.draw(st.lists(edge_w, min_size=g.num_edges,
+                            max_size=g.num_edges))
+    return Hypergraph(g.n, g.edges, node_weights=nw, edge_weights=ew)
+
+
+def _tight_caps(g: Hypergraph, k: int, data) -> np.ndarray:
+    """Per-part caps from 0 to the total weight: some targets infeasible."""
+    top = int(g.total_node_weight) + 1
+    return np.array(data.draw(st.lists(st.integers(0, top), min_size=k,
+                                       max_size=k)), dtype=np.float64)
 
 
 class TestRandomBalanced:
@@ -124,11 +145,31 @@ class TestFM:
         refined = fm_refine(g, start, eps=0.5, relaxed=True)
         assert cost(g, refined) <= cost(g, start) + 1e-9
 
+    @given(hypergraphs(max_nodes=14, min_nodes=2), st.integers(2, 6),
+           st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_loop(self, g, k, data):
+        """With integer weights the batched gain cache makes exactly the
+        moves of the per-node reference loop: labels are bitwise equal."""
+        g = _weighted(g, data, integral=True)
+        labels = np.array(data.draw(
+            st.lists(st.integers(0, k - 1), min_size=g.n, max_size=g.n)))
+        locked = data.draw(st.lists(st.integers(0, g.n - 1),
+                                    max_size=g.n // 3))
+        caps = _tight_caps(g, k, data)
+        for metric in (Metric.CONNECTIVITY, Metric.CUT_NET):
+            got = fm_refine(g, labels, k=k, metric=metric, caps=caps,
+                            locked=locked)
+            ref = _reference_fm_refine(g, labels, k=k, metric=metric,
+                                       caps=caps, locked=locked)
+            assert np.array_equal(got.labels, ref.labels)
+
 
 class TestCoarsening:
     def test_coarsen_reduces_nodes(self, rng):
         g = random_hypergraph(40, 60, rng=rng)
-        step = coarsen_step(g, rng, max_cluster_weight=10)
+        step = subround_coarsen_step(g, rng, max_cluster_weight=10,
+                                     pool=None)
         assert step is not None
         coarse, mapping = step
         assert coarse.n < g.n
@@ -137,14 +178,17 @@ class TestCoarsening:
 
     def test_cluster_weight_respected(self, rng):
         g = random_hypergraph(30, 50, rng=rng)
-        step = coarsen_step(g, rng, max_cluster_weight=2.0)
+        step = subround_coarsen_step(g, rng, max_cluster_weight=2.0,
+                                     pool=None)
         assert step is not None
         coarse, _ = step
         assert coarse.node_weights.max() <= 2.0
 
     def test_no_match_returns_none(self, rng):
-        g = Hypergraph(5, [])  # no edges, nothing to match
-        assert coarsen_step(g, rng, 10.0) is None
+        # isolated nodes pack into weight-capped bins, so nothing can
+        # join only when the cap is below two node weights
+        g = Hypergraph(5, [])
+        assert subround_coarsen_step(g, rng, 1.0, pool=None) is None
 
 
 class TestMultilevel:
@@ -211,20 +255,47 @@ class TestBestMoveVectorisation:
            st.data())
     @settings(max_examples=40, deadline=None)
     def test_matches_scalar_move_delta(self, g, k, data):
-        """The vectorised best_move must agree with the scalar
-        move_delta reference on both metrics."""
-        from repro.partitioners.fm import _State
-
+        """The vectorised best_move, every row of the batched ``rate``
+        and the cached re-check agree with the scalar move_delta
+        reference on both metrics, for every (node, target) — including
+        targets the caps rule out and non-unit weights.  Integer weights
+        must agree exactly; float weights sum in another order, so
+        there only the gains are compared, within GAIN_ATOL."""
+        integral = data.draw(st.booleans())
+        g = _weighted(g, data, integral)
+        tol = 0.0 if integral else GAIN_ATOL
         labels = np.array(data.draw(
             st.lists(st.integers(0, k - 1), min_size=g.n, max_size=g.n)))
-        caps = np.full(k, float(g.n))  # everything feasible
+        caps = _tight_caps(g, k, data)
+        nodes = np.arange(g.n)
         for metric in (Metric.CONNECTIVITY, Metric.CUT_NET):
             state = _State(g, labels.copy(), k)
+            best = state.rate(nodes, caps, metric)
             for v in range(g.n):
+                a = int(labels[v])
+                ref = {b: state.move_delta(v, b, metric)
+                       for b in range(k) if b != a}
+                for b, d in ref.items():
+                    assert abs(state.deltas[v, b] - d) <= tol
+                fits = [b for b in ref
+                        if leq(state.part_weight[b] + g.node_weights[v],
+                               caps[b])]
                 got = state.best_move(v, caps, metric)
-                ref = min(
-                    ((state.move_delta(v, b, metric), b)
-                     for b in range(k) if b != labels[v]),
-                    default=None)
-                assert got is not None and ref is not None
-                assert got[0] == pytest.approx(ref[0])
+                cached = state.cached_move(v, caps)
+                if not fits:
+                    assert got is None and cached is None
+                    assert best[v] == np.inf
+                    continue
+                want = min(ref[b] for b in fits)
+                for d in (got[0], cached[0], best[v]):
+                    assert abs(d - want) <= tol
+                if integral:
+                    assert cached == got
+            # the array-op apply keeps the incremental state exact
+            for v in data.draw(st.lists(st.integers(0, g.n - 1),
+                                        max_size=4)):
+                state.apply(v, (int(state.labels[v]) + 1) % k)
+            fresh = _State(g, state.labels.copy(), k)
+            assert np.array_equal(state.pin_counts, fresh.pin_counts)
+            assert np.array_equal(state.nonzero, fresh.nonzero)
+            assert np.allclose(state.part_weight, fresh.part_weight)
