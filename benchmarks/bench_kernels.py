@@ -4,7 +4,9 @@ Times every kernel in :mod:`repro.core.kernels` against its retained
 Python-loop reference on random hypergraphs of growing size — plus, on
 cases small enough for the multilevel partitioner to hand to the heap
 FM, ``fm_refine`` against its per-node ``_reference_fm_refine`` loop
-(row ``heap_fm``) — and writes
+(row ``heap_fm``), and on larger cases ``subround_fm_refine`` against
+its re-rate-every-boundary-node ``_reference_subround_fm_refine`` loop
+(row ``subround_fm``) — and writes
 ``BENCH_kernels.json`` next to this file — the committed baseline that
 ``scripts/check_bench_regression.py`` (and the opt-in ``-m benchcheck``
 pytest marker) compares fresh runs against.
@@ -33,7 +35,7 @@ import numpy as np
 
 from repro.core import cost, kernels
 from repro.generators import planted_partition_hypergraph, random_hypergraph
-from repro.partitioners import fm, multilevel_partition
+from repro.partitioners import fm, multilevel_partition, subround
 from repro.partitioners.multilevel import _SYNC_FM_MIN_NODES
 
 from _util import print_table
@@ -115,6 +117,13 @@ def bench_case(n: int, m: int, seed: int, repeats: int) -> dict:
         pairs["heap_fm"] = (
             lambda: fm._reference_fm_refine(graph, labels, k=k),
             lambda: fm.fm_refine(graph, labels, k=k),
+        )
+    else:
+        pairs["subround_fm"] = (
+            lambda: subround._reference_subround_fm_refine(graph, labels,
+                                                           k=k, pool=None),
+            lambda: subround.subround_fm_refine(graph, labels, k=k,
+                                                pool=None),
         )
     out = {}
     for name, (ref, vec) in pairs.items():

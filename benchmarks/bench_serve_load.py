@@ -39,12 +39,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import queue
 import re
 import subprocess
 import sys
 import tempfile
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -215,8 +217,17 @@ def simulate_phase(port: int, jobs: int) -> dict:
 def overload_phase(port: int, offered_jps: float, duration_s: float,
                    seed_base: int) -> dict:
     """Open-loop submissions at ``offered_jps`` for ``duration_s``;
-    sheds are counted, accepted handles are drained and measured."""
-    accepted: list[str] = []
+    sheds are counted, accepted handles are drained and measured.
+
+    The drain polls accepted jobs in acceptance order *while* the
+    submitters run.  The server keeps only its most recent finished
+    jobs (``_RETAIN_JOBS`` in ``repro.serve.jobs``), and a fast host
+    accepts more than that in one phase, so a drain that started after
+    submission would find the oldest jobs already purged.  A job that
+    is gone all the same still fails the run (``JobNotFoundError``).
+    """
+    accepted: queue.Queue[str | None] = queue.Queue()
+    n_accepted = 0
     shed = 0
     lock = threading.Lock()
     interval = 1.0 / offered_jps
@@ -224,7 +235,7 @@ def overload_phase(port: int, offered_jps: float, duration_s: float,
     n_submitters = 4
 
     def submitter(offset: int) -> None:
-        nonlocal shed
+        nonlocal n_accepted, shed
         i = offset
         with ServeClient("127.0.0.1", port, timeout_s=60) as c:
             next_fire = time.monotonic()
@@ -233,7 +244,8 @@ def overload_phase(port: int, offered_jps: float, duration_s: float,
                     h = c.submit({**small_job(seed_base + i),
                                   "mode": "async", "deadline_s": 60.0})
                     with lock:
-                        accepted.append(h["job_id"])
+                        n_accepted += 1
+                        accepted.put(h["job_id"])
                 except QueueFullError:
                     with lock:
                         shed += 1
@@ -243,26 +255,35 @@ def overload_phase(port: int, offered_jps: float, duration_s: float,
                 if delay > 0:
                     time.sleep(delay)
 
-    threads = [threading.Thread(target=submitter, args=(i,))
-               for i in range(n_submitters)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    # drain: poll every accepted job to a final state, collect
-    # server-side latency (submit -> resolve, queue wait included)
-    latencies: list[float] = []
-    statuses: dict[str, int] = {}
-    with ServeClient("127.0.0.1", port, timeout_s=120) as c:
-        for job_id in accepted:
-            out = c.wait(job_id, timeout_s=120)
-            statuses[out["status"]] = statuses.get(out["status"], 0) + 1
-            if out["status"] == "done":
-                latencies.append(out["latency_s"])
+    def drain() -> tuple[list[float], dict[str, int]]:
+        # poll every accepted job to a final state, collect server-side
+        # latency (submit -> resolve, queue wait included)
+        latencies: list[float] = []
+        statuses: dict[str, int] = {}
+        with ServeClient("127.0.0.1", port, timeout_s=120) as c:
+            while (job_id := accepted.get()) is not None:
+                out = c.wait(job_id, timeout_s=120)
+                statuses[out["status"]] = statuses.get(out["status"], 0) + 1
+                if out["status"] == "done":
+                    latencies.append(out["latency_s"])
+        return latencies, statuses
+
+    with ThreadPoolExecutor(max_workers=1) as executor:
+        drained = executor.submit(drain)
+        try:
+            threads = [threading.Thread(target=submitter, args=(i,))
+                       for i in range(n_submitters)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            accepted.put(None)          # end of submissions
+        latencies, statuses = drained.result()
     return {
         "offered_jps": round(offered_jps, 1),
         "duration_s": duration_s,
-        "accepted": len(accepted),
+        "accepted": n_accepted,
         "shed_429": shed,
         "statuses": statuses,
         "accepted_p50_ms": round(percentile(latencies, 50) * 1e3, 3),

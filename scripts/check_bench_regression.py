@@ -134,6 +134,9 @@ def compare_serve(baseline: dict, fresh: dict,
     comparison against the committed baseline.
     """
     s = fresh["summary"]
+    o = fresh["overload"]
+    print(f"  overload: {o['accepted']} accepted, {o['shed_429']} shed, "
+          f"final statuses {o['statuses']}")
     failures: list[str] = []
     bars = [
         (f"batched speedup {s['batched_speedup']}x (>= 3x)",

@@ -162,11 +162,14 @@ def _stage_propose(view: _LevelView, chunk: np.ndarray, extra) -> tuple:
 def _stage_fm_gain(view: _LevelView, chunk: np.ndarray, extra) -> tuple:
     """Best move target and gain for every boundary node in ``chunk``.
 
-    Gains are recomputed from the shared ``pin_counts`` snapshot each
-    sub-round (no stale deltas to reconcile across workers).  Per-node
-    sums run over the node's incidence order via ``bincount``, so they
-    are chunk-boundary independent.  Ties: ``argmax`` returns the
-    smallest part id.  Returns ``(gains, targets)``.
+    Gains are computed from scratch from the shared ``pin_counts``
+    snapshot (no deltas to reconcile across workers).  A node's result
+    reads only its own label and the ``pin_counts`` rows and ``edge_nz``
+    of its incident edges, which is what lets ``subround_fm_refine``
+    cache it until a move touches one of those edges.  Per-node sums
+    run over the node's incidence order via ``bincount``, so they are
+    chunk-boundary independent.  Ties: ``argmax`` returns the smallest
+    part id.  Returns ``(gains, targets)``.
     """
     k, conn = extra
     labels = view.state["labels"]
@@ -431,17 +434,20 @@ class RoundPool:
 class _Level:
     """Parent-side stage dispatcher for one level.
 
-    With a pool (and a big enough level) the graph and state go into
-    shared segments and stages run in the workers; otherwise the same
-    stage functions run inline on the graph's own arrays.  The state
-    dict the parent mutates *is* the shared mapping, so workers see
-    every between-stage update without further copies.
+    With a pool, a big enough level, and a caller whose largest stage
+    (``max_items``) could reach ``_POOL_MIN_ITEMS``, the graph and state
+    go into shared segments and big stages run in the workers;
+    otherwise the same stage functions run inline on the graph's own
+    arrays and nothing is published.  The state dict the parent mutates
+    *is* the shared mapping, so workers see every between-stage update
+    without further copies.
     """
 
     def __init__(self, pool: RoundPool | None, graph: Hypergraph,
-                 state: dict[str, np.ndarray]) -> None:
+                 state: dict[str, np.ndarray], max_items: int) -> None:
         self.pool = (pool if pool is not None
-                     and graph.num_pins >= POOL_MIN_PINS else None)
+                     and graph.num_pins >= POOL_MIN_PINS
+                     and max_items >= _POOL_MIN_ITEMS else None)
         if self.pool is not None:
             self._graph_shm = SharedCSR.from_hypergraph(graph)
             self._state_shm = SharedArrays.create(state)
@@ -529,10 +535,11 @@ def subround_coarsen_step(
     nsub = _NUM_SUBROUNDS if n >= 8 * _NUM_SUBROUNDS else 1
     sub_of = np.empty(n, dtype=np.int64)
     sub_of[order] = np.arange(n, dtype=np.int64) % nsub
+    # the global fallback round below may propose for every node
     level = _Level(pool, graph, {
         "cluster": np.arange(n, dtype=np.int64),
         "cweight": np.asarray(graph.node_weights, dtype=np.float64).copy(),
-    })
+    }, max_items=n)
     cluster = level.state["cluster"]
     cweight = level.state["cweight"]
     recv = np.zeros(n, dtype=bool)       # clusters that took a joiner
@@ -650,14 +657,157 @@ def subround_fm_refine(
 ) -> Partition:
     """Synchronous boundary-FM refinement (sub-round variant).
 
-    Each sub-round recomputes every boundary node's best move gain from
-    the shared ``pin_counts`` snapshot, sorts candidates by (gain desc,
-    node id asc), keeps the per-part prefix that fits the weight caps
-    (conservative: freed source weight is ignored), applies the batch,
-    and — because simultaneous moves can interact — rolls back to the
-    best-gain half repeatedly if the exact recomputed cost regressed.
-    Deterministic for any ``n_jobs`` for the same reasons as matching.
-    Never returns a worse partition than it was given.
+    Sub-round r of a round takes the boundary nodes v ≡ r (mod
+    ``_NUM_SUBROUNDS``), sorts them by (gain desc, node id asc), keeps
+    the per-part prefix that fits the weight caps (conservative: freed
+    source weight is ignored), applies the batch, and — because
+    simultaneous moves can interact — rolls back to the best-gain half
+    repeatedly if the exact recomputed cost regressed.
+
+    Two pieces of state make a sub-round cost what changed since the
+    last one rather than a pass over the level.  ``ncut[v]``, the number
+    of cut edges at v, is kept by every batch move and undo, so the
+    boundary needs no pin rescan.  Each node's ``fm_gain`` result is
+    cached until a move touches one of its edges (the rating cache): a
+    rating reads only the node's label and its edges' pin-count rows,
+    so only these stale nodes are re-rated, and the moves are bitwise
+    those of :func:`_reference_subround_fm_refine`, which re-rates every
+    boundary node.  Deterministic for any ``n_jobs`` for the same
+    reasons as matching.  Never returns a worse partition than it was
+    given.
+    """
+    from .base import weight_caps
+
+    labels_in = (partition_or_labels.labels
+                 if isinstance(partition_or_labels, Partition)
+                 else partition_or_labels)
+    labels0 = np.array(labels_in, dtype=np.int64)   # private working copy
+    if caps is None:
+        caps = weight_caps(graph, k, eps, relaxed=True)
+    metric = Metric(metric)
+    conn = metric is Metric.CONNECTIVITY
+    ptr, pins = graph.csr()
+    nw = graph.node_weights
+    n = labels0.size
+    pc0 = kernels.pin_count_matrix(ptr, pins, labels0, k)
+    level = _Level(pool, graph, {
+        "labels": labels0,
+        "pin_counts": pc0,
+        "edge_nz": (pc0 > 0).sum(axis=1).astype(np.int64),
+    }, max_items=-(-n // _NUM_SUBROUNDS))
+    labels = level.state["labels"]
+    pc = level.state["pin_counts"]
+    edge_nz = level.state["edge_nz"]
+    part_w = np.zeros(k, dtype=np.float64)
+    np.add.at(part_w, labels, nw)
+    ncut = np.bincount(pins[np.repeat(edge_nz >= 2, np.diff(ptr))],
+                       minlength=n)
+    stale = np.ones(n, dtype=bool)
+    best_gain = np.empty(n, dtype=np.float64)
+    best_tgt = np.empty(n, dtype=np.int64)
+    try:
+        for _ in range(max_rounds):
+            improved = False
+            for rnd in range(_NUM_SUBROUNDS):
+                nodes = rnd + _NUM_SUBROUNDS * np.flatnonzero(
+                    ncut[rnd::_NUM_SUBROUNDS])
+                rate = nodes[stale[nodes]]
+                if rate.size:
+                    outs = level.run("fm_gain", rate, (k, conn))
+                    best_gain[rate] = _concat(outs, 0)
+                    best_tgt[rate] = _concat(outs, 1)
+                    stale[rate] = False
+                gain = best_gain[nodes]
+                sel = np.flatnonzero(gain > _GAIN_ATOL)
+                if sel.size == 0:
+                    continue
+                nodes_c = nodes[sel]
+                tgt_c = best_tgt[nodes_c]
+                order = np.lexsort((nodes_c, -gain[sel]))
+                nodes_o, tgt_o = nodes_c[order], tgt_c[order]
+                w_o = nw[nodes_o]
+                cum = np.empty(nodes_o.size, dtype=np.float64)
+                for t in range(k):
+                    in_t = tgt_o == t
+                    cum[in_t] = np.cumsum(w_o[in_t])
+                fits = part_w[tgt_o] + cum <= caps[tgt_o] + _GAIN_ATOL
+                nodes_o, tgt_o = nodes_o[fits], tgt_o[fits]
+                while nodes_o.size:
+                    old = labels[nodes_o].copy()
+                    delta = _bulk_move(graph, labels, pc, edge_nz, part_w,
+                                       ncut, stale, nodes_o, tgt_o, conn)
+                    if delta <= _GAIN_ATOL:
+                        if delta < -_GAIN_ATOL:
+                            improved = True
+                        break
+                    # interacting moves regressed the exact cost: undo
+                    # and retry the best-gain half (deterministic)
+                    _bulk_move(graph, labels, pc, edge_nz, part_w, ncut,
+                               stale, nodes_o, old, conn)
+                    nodes_o = nodes_o[:nodes_o.size // 2]
+                    tgt_o = tgt_o[:nodes_o.size]
+            if not improved:
+                break
+        out = np.array(labels)
+    finally:
+        level.release()
+    return Partition(out, k)
+
+
+def _bulk_move(graph, labels, pc, edge_nz, part_w, ncut, stale, nodes,
+               new_labels, conn) -> float:
+    """Apply a batch of moves in place; return the exact cost delta.
+
+    ``pin_counts`` is updated incrementally via ``np.add.at`` over the
+    moved nodes' incident edges; only touched edges are re-summed.
+    Every pin of a touched edge is marked ``stale`` (its rating reads
+    that edge's row), and ``ncut`` follows each touched edge whose cut
+    status flips.  An undo is a batch move like any other.
+    """
+    ptr, pins = graph.csr()
+    node_ptr, node_edges = graph.incidence()
+    ew, nw = graph.edge_weights, graph.node_weights
+    old = labels[nodes]
+    inc_ptr, rows = kernels.gather_rows(node_ptr, node_edges, nodes)
+    reps = np.diff(inc_ptr)
+    np.add.at(pc, (rows, np.repeat(old, reps)), -1)
+    np.add.at(pc, (rows, np.repeat(new_labels, reps)), 1)
+    touched = np.unique(rows)
+    new_nz = (pc[touched] > 0).sum(axis=1).astype(np.int64)
+    old_nz = edge_nz[touched]
+    cut_flip = (new_nz > 1).astype(np.int64) - (old_nz > 1)
+    if conn:
+        delta = float((ew[touched] * (new_nz - old_nz)).sum())
+    else:
+        delta = float((ew[touched] * cut_flip).sum())
+    edge_nz[touched] = new_nz
+    np.add.at(part_w, old, -nw[nodes])
+    np.add.at(part_w, new_labels, nw[nodes])
+    labels[nodes] = new_labels
+    t_ptr, t_pins = kernels.gather_rows(ptr, pins, touched)
+    stale[t_pins] = True
+    pin_flip = np.repeat(cut_flip, np.diff(t_ptr))
+    flipped = pin_flip != 0
+    np.add.at(ncut, t_pins[flipped], pin_flip[flipped])
+    return delta
+
+
+def _reference_subround_fm_refine(
+    graph: Hypergraph,
+    partition_or_labels,
+    k: int,
+    eps: float = 0.0,
+    metric: Metric = Metric.CONNECTIVITY,
+    caps: np.ndarray | None = None,
+    pool: RoundPool | None = None,
+    max_rounds: int = 8,
+) -> Partition:
+    """Old ``subround_fm_refine`` pass loop: every sub-round rescans all
+    pins for the boundary and re-rates every boundary node in it.
+
+    Retained as the oracle of :func:`subround_fm_refine` (property tests
+    in ``tests/partitioners/test_subround.py``) and as the reference
+    side of the ``subround_fm`` row in ``benchmarks/bench_kernels.py``.
     """
     from .base import weight_caps
 
@@ -677,7 +827,7 @@ def subround_fm_refine(
         "labels": labels0,
         "pin_counts": pc0,
         "edge_nz": (pc0 > 0).sum(axis=1).astype(np.int64),
-    })
+    }, max_items=-(-labels0.size // _NUM_SUBROUNDS))
     labels = level.state["labels"]
     pc = level.state["pin_counts"]
     edge_nz = level.state["edge_nz"]
@@ -717,17 +867,18 @@ def subround_fm_refine(
                 nodes_o, tgt_o = nodes_o[fits], tgt_o[fits]
                 while nodes_o.size:
                     old = labels[nodes_o].copy()
-                    delta = _bulk_move(node_ptr, node_edges, ew, nw, labels,
-                                       pc, edge_nz, part_w, nodes_o, tgt_o,
-                                       conn)
+                    delta = _reference_bulk_move(
+                        node_ptr, node_edges, ew, nw, labels, pc, edge_nz,
+                        part_w, nodes_o, tgt_o, conn)
                     if delta <= _GAIN_ATOL:
                         if delta < -_GAIN_ATOL:
                             improved = True
                         break
                     # interacting moves regressed the exact cost: undo
                     # and retry the best-gain half (deterministic)
-                    _bulk_move(node_ptr, node_edges, ew, nw, labels, pc,
-                               edge_nz, part_w, nodes_o, old, conn)
+                    _reference_bulk_move(node_ptr, node_edges, ew, nw,
+                                         labels, pc, edge_nz, part_w,
+                                         nodes_o, old, conn)
                     nodes_o = nodes_o[:nodes_o.size // 2]
                     tgt_o = tgt_o[:nodes_o.size]
             if not improved:
@@ -738,13 +889,9 @@ def subround_fm_refine(
     return Partition(out, k)
 
 
-def _bulk_move(node_ptr, node_edges, ew, nw, labels, pc, edge_nz, part_w,
-               nodes, new_labels, conn) -> float:
-    """Apply a batch of moves in place; return the exact cost delta.
-
-    ``pin_counts`` is updated incrementally via ``np.add.at`` over the
-    moved nodes' incident edges; only touched edges are re-summed.
-    """
+def _reference_bulk_move(node_ptr, node_edges, ew, nw, labels, pc, edge_nz,
+                         part_w, nodes, new_labels, conn) -> float:
+    """Old ``_bulk_move``: pin counts, ``edge_nz``, part weights, labels."""
     old = labels[nodes]
     inc_ptr, rows = kernels.gather_rows(node_ptr, node_edges, nodes)
     reps = np.diff(inc_ptr)

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import Metric, Partition, cost
+from repro.core import Hypergraph, Metric, Partition, cost
 from repro.core.shm import SharedArrays, SharedCSR
 from repro.errors import WorkerPoolError
 from repro.generators import streaming_planted_hypergraph
@@ -24,9 +26,12 @@ from repro.partitioners import subround
 from repro.partitioners.base import weight_caps
 from repro.partitioners.subround import (
     RoundPool,
+    _reference_subround_fm_refine,
     subround_coarsen_step,
     subround_fm_refine,
 )
+
+from ..conftest import labelings
 
 
 @pytest.fixture
@@ -34,6 +39,20 @@ def eager_pool(monkeypatch):
     """Lower the size gates so the pool path runs on test-sized graphs."""
     monkeypatch.setattr(subround, "POOL_MIN_PINS", 0)
     monkeypatch.setattr(subround, "_POOL_MIN_ITEMS", 1)
+
+
+@st.composite
+def weighted_hypergraphs(draw) -> Hypergraph:
+    """Random hypergraphs with float node and edge weights, big enough
+    that one sub-round batches several (possibly interacting) moves."""
+    n = draw(st.integers(2, 48))
+    edges = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1,
+                                   max_size=6), max_size=72))
+    g = Hypergraph(n, edges)
+    nw = draw(st.lists(st.floats(0.1, 4.0), min_size=n, max_size=n))
+    ew = draw(st.lists(st.floats(0.0, 4.0), min_size=g.num_edges,
+                       max_size=g.num_edges))
+    return Hypergraph(n, g.edges, node_weights=nw, edge_weights=ew)
 
 
 @pytest.fixture
@@ -147,6 +166,66 @@ class TestFMRefine:
         caps = weight_caps(g, k, eps, relaxed=True)
         assert np.all(part_w <= caps + 1e-9)
 
+    @given(weighted_hypergraphs(), st.integers(2, 6),
+           st.sampled_from([0.0, 0.1, 0.5]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_loop(self, g, k, eps, data):
+        """The rating cache and the kept boundary count make exactly the
+        moves of the re-rate-everything reference loop."""
+        labels0 = data.draw(labelings(g.n, k))
+        for metric in (Metric.CONNECTIVITY, Metric.CUT_NET):
+            got = subround_fm_refine(g, labels0, k=k, eps=eps,
+                                     metric=metric, pool=None)
+            ref = _reference_subround_fm_refine(g, labels0, k=k, eps=eps,
+                                                metric=metric, pool=None)
+            assert np.array_equal(got.labels, ref.labels)
+
+    def test_boundary_follows_moves_and_undos(self):
+        """Nodes 1 and 9 share sub-round 1.  Moved together they regress
+        the cut, so the batch is undone and 9 moves alone.  That leaves
+        {1, 3} cut and cuts {9, 10}, so 3 and 10 follow in their own
+        sub-rounds.  The boundary count must take in both the forward
+        move and the undo for 3 and 10 to be candidates."""
+        g = Hypergraph(16, [[1, 3], [1, 9], [1, 2], [9, 10]],
+                       edge_weights=[1.0, 2.0, 2.0, 0.5])
+        labels0 = np.zeros(16, dtype=np.int64)
+        labels0[[3, 9, 10]] = 1
+        caps = np.full(2, 100.0)
+        for refine in (subround_fm_refine, _reference_subround_fm_refine):
+            got = refine(g, labels0, k=2, caps=caps, pool=None)
+            assert not got.labels.any()
+
+    def test_pool_path_matches_reference(self, planted, eager_pool):
+        g, _ = planted
+        labels0 = np.random.default_rng(5).integers(0, 4, size=g.n,
+                                                    dtype=np.int64)
+        ref = _reference_subround_fm_refine(g, labels0, k=4, eps=0.1,
+                                            pool=None)
+        with RoundPool(2) as pool:
+            got = subround_fm_refine(g, labels0, k=4, eps=0.1, pool=pool)
+        assert np.array_equal(got.labels, ref.labels)
+
+    def test_rates_fewer_nodes_than_reference(self, monkeypatch):
+        """Only nodes whose edges a move touched are re-rated."""
+        g, _ = streaming_planted_hypergraph(3000, 4, 4000, 600, edge_size=4,
+                                            rng=1)
+        labels0 = np.random.default_rng(1).integers(0, 4, size=g.n,
+                                                    dtype=np.int64)
+        stage = subround._STAGES["fm_gain"]
+        rated = []
+
+        def counting_stage(view, chunk, extra):
+            rated[-1] += chunk.size
+            return stage(view, chunk, extra)
+
+        monkeypatch.setitem(subround._STAGES, "fm_gain", counting_stage)
+        out = []
+        for refine in (subround_fm_refine, _reference_subround_fm_refine):
+            rated.append(0)
+            out.append(refine(g, labels0, k=4, eps=0.05, pool=None).labels)
+        assert np.array_equal(out[0], out[1])
+        assert rated[0] <= 0.75 * rated[1]
+
     def test_input_labels_unmodified(self, planted):
         g, _ = planted
         labels0 = np.random.default_rng(4).integers(0, 3, size=g.n,
@@ -154,6 +233,34 @@ class TestFMRefine:
         snapshot = labels0.copy()
         subround_fm_refine(g, labels0, k=3, eps=0.1, pool=None)
         assert np.array_equal(labels0, snapshot)
+
+
+class TestLevelPublish:
+    def test_publishes_only_levels_a_stage_can_dispatch(self, planted,
+                                                        monkeypatch):
+        """The FM's stages hold at most ceil(n/8) nodes, coarsening's
+        fallback round all n: only a level whose largest stage reaches
+        ``_POOL_MIN_ITEMS`` goes into shared memory."""
+        g, _ = planted
+        monkeypatch.setattr(subround, "POOL_MIN_PINS", 0)
+        monkeypatch.setattr(subround, "_POOL_MIN_ITEMS", g.n // 4)
+        published = []
+
+        class RecordingLevel(subround._Level):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                published.append(self.pool is not None)
+
+        monkeypatch.setattr(subround, "_Level", RecordingLevel)
+        labels0 = np.random.default_rng(6).integers(0, 4, size=g.n,
+                                                    dtype=np.int64)
+        with RoundPool(2) as pool:
+            refined = subround_fm_refine(g, labels0, k=4, eps=0.1, pool=pool)
+            subround_coarsen_step(g, np.random.default_rng(5), 8.0, pool=pool)
+        assert published == [False, True]
+        assert np.array_equal(
+            refined.labels,
+            subround_fm_refine(g, labels0, k=4, eps=0.1, pool=None).labels)
 
 
 class TestNJobsDeterminism:
