@@ -6,7 +6,13 @@ cases small enough for the multilevel partitioner to hand to the heap
 FM, ``fm_refine`` against its per-node ``_reference_fm_refine`` loop
 (row ``heap_fm``), and on larger cases ``subround_fm_refine`` against
 its re-rate-every-boundary-node ``_reference_subround_fm_refine`` loop
-(row ``subround_fm``) — and writes
+(row ``subround_fm``).  Every case also times coarsening's proposal
+stage ``subround._stage_propose`` against its lexsort
+``_reference_stage_propose`` (row ``propose``: every node a singleton
+mover, cluster cap three times the average node weight) and
+``greedy_sequential_partition`` against its numpy-scalar
+``_reference_greedy_sequential_partition`` loop (row ``greedy``: k=8,
+eps 0.05, relaxed caps).  It writes
 ``BENCH_kernels.json`` next to this file — the committed baseline that
 ``scripts/check_bench_regression.py`` (and the opt-in ``-m benchcheck``
 pytest marker) compares fresh runs against.
@@ -35,7 +41,7 @@ import numpy as np
 
 from repro.core import cost, kernels
 from repro.generators import planted_partition_hypergraph, random_hypergraph
-from repro.partitioners import fm, multilevel_partition, subround
+from repro.partitioners import fm, greedy, multilevel_partition, subround
 from repro.partitioners.multilevel import _SYNC_FM_MIN_NODES
 
 from _util import print_table
@@ -125,6 +131,23 @@ def bench_case(n: int, m: int, seed: int, repeats: int) -> dict:
             lambda: subround.subround_fm_refine(graph, labels, k=k,
                                                 pool=None),
         )
+    # coarsening's first proposal stage on this graph
+    view = subround._LevelView(
+        ptr, pins, *graph.incidence(), graph.node_weights,
+        graph.edge_weights, {"cluster": np.arange(n, dtype=np.int64),
+                             "cweight": graph.node_weights.copy()})
+    movers = np.arange(n, dtype=np.int64)
+    cap = (3.0 * float(graph.node_weights.mean()),)
+    pairs["propose"] = (
+        lambda: subround._reference_stage_propose(view, movers, cap),
+        lambda: subround._stage_propose(view, movers, cap),
+    )
+    pairs["greedy"] = (
+        lambda: greedy._reference_greedy_sequential_partition(
+            graph, k, eps=0.05, rng=seed, relaxed=True),
+        lambda: greedy.greedy_sequential_partition(
+            graph, k, eps=0.05, rng=seed, relaxed=True),
+    )
     out = {}
     for name, (ref, vec) in pairs.items():
         t_ref = _best(ref, repeats)

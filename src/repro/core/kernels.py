@@ -157,10 +157,19 @@ def incidence_from_csr(ptr: np.ndarray, pins: np.ndarray,
 
     A stable counting sort of pins, so each node's incident edge ids
     come out in increasing edge order — identical to the reference fill.
+    The sort is least-significant-digit radix: one stable ``argsort``
+    per 16 bits of ``n - 1``, each on ``uint16`` digits, which NumPy
+    runs as a counting sort instead of a comparison sort on int64.  A
+    stable sort has exactly one output permutation, so this is the
+    permutation ``np.argsort(pins, kind="stable")`` returns.
     """
     node_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(pins, minlength=n), out=node_ptr[1:])
-    order = np.argsort(pins, kind="stable")
+    # casting to uint16 keeps the low 16 bits of a non-negative id
+    order = np.argsort(pins.astype(np.uint16), kind="stable")
+    for shift in range(16, max(int(n) - 1, 0).bit_length(), 16):
+        digit = (pins[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
     return node_ptr, edge_ids_from_ptr(ptr)[order]
 
 

@@ -114,9 +114,12 @@ def _stage_propose(view: _LevelView, chunk: np.ndarray, extra) -> tuple:
     Σ_{e ∋ v} w_e/(|e|−1) · |pins(e) ∩ C|, accumulated per (owner,
     cluster) in the owner's incidence order — a stable sort groups the
     pairs without reordering equal keys, so the float sum is identical
-    under any chunking.  Ties broken by (rating desc, cluster id asc).
-    Returns ``(targets, ratings)`` aligned with ``chunk``; target −1
-    where no admissible cluster exists.
+    under any chunking.  Ties broken by (rating desc, cluster id asc):
+    the sorted pairs of a mover run in increasing cluster id, so a
+    segmented max (``maximum.reduceat``) and the first pair reaching it
+    pick the winner without a second sort.  Returns ``(targets,
+    ratings)`` aligned with ``chunk``; target −1 where no admissible
+    cluster exists.
     """
     (max_w,) = extra
     cluster = view.state["cluster"]
@@ -149,12 +152,16 @@ def _stage_propose(view: _LevelView, chunk: np.ndarray, extra) -> tuple:
     key_s, contrib_s = key[order], contrib[order]
     starts = np.flatnonzero(np.r_[True, key_s[1:] != key_s[:-1]])
     score = np.add.reduceat(contrib_s, starts)
-    pair_owner = key_s[starts] // n
-    pair_tc = key_s[starts] % n
-    sel = np.lexsort((pair_tc, -score, pair_owner))
-    po = pair_owner[sel]
-    first = sel[np.flatnonzero(np.r_[True, po[1:] != po[:-1]])]
-    targets[pair_owner[first]] = pair_tc[first]
+    pair_key = key_s[starts]
+    pair_owner = pair_key // n
+    mover_starts = np.flatnonzero(
+        np.r_[True, pair_owner[1:] != pair_owner[:-1]])
+    best = np.maximum.reduceat(score, mover_starts)
+    hit = np.flatnonzero(score == np.repeat(
+        best, np.diff(np.r_[mover_starts, score.size])))
+    hit_owner = pair_owner[hit]
+    first = hit[np.r_[True, hit_owner[1:] != hit_owner[:-1]]]
+    targets[pair_owner[first]] = pair_key[first] % n
     ratings[pair_owner[first]] = score[first]
     return targets, ratings
 
@@ -208,6 +215,56 @@ def _stage_fm_gain(view: _LevelView, chunk: np.ndarray, extra) -> tuple:
 
 
 _STAGES = {"propose": _stage_propose, "fm_gain": _stage_fm_gain}
+
+
+def _reference_stage_propose(view: _LevelView, chunk: np.ndarray,
+                             extra) -> tuple:
+    """Old ``_stage_propose``: picks each mover's winner with a three-key
+    ``np.lexsort`` over all (mover, cluster) pairs.
+
+    Retained as the oracle of :func:`_stage_propose` (property tests in
+    ``tests/partitioners/test_subround.py``) and as the reference side
+    of the ``propose`` row in ``benchmarks/bench_kernels.py``.
+    """
+    (max_w,) = extra
+    cluster = view.state["cluster"]
+    cw = view.state["cweight"]
+    targets = np.full(chunk.size, -1, dtype=np.int64)
+    ratings = np.zeros(chunk.size, dtype=np.float64)
+    if chunk.size == 0:
+        return targets, ratings
+    n = np.int64(view.nw.size)
+    inc_ptr, inc = kernels.gather_rows(view.node_ptr, view.node_edges, chunk)
+    if inc.size == 0:
+        return targets, ratings
+    epins = np.diff(view.ptr)[inc]
+    owner_edge = np.repeat(np.arange(chunk.size, dtype=np.int64),
+                           np.diff(inc_ptr))
+    _, cand = kernels.gather_rows(view.ptr, view.pins, inc)
+    owner = np.repeat(owner_edge, epins)
+    contrib = np.repeat(view.escore[inc], epins)
+    self_ids = chunk[owner]
+    # movers are singletons (cluster[v] == v), so tc != v excludes both
+    # self-pins and same-cluster pins in one comparison
+    tc = cluster[cand]
+    ok = ((tc != self_ids) & (contrib > 0.0)
+          & (cw[self_ids] + cw[tc] <= max_w))
+    owner, tc, contrib = owner[ok], tc[ok], contrib[ok]
+    if owner.size == 0:
+        return targets, ratings
+    key = owner * n + tc
+    order = np.argsort(key, kind="stable")
+    key_s, contrib_s = key[order], contrib[order]
+    starts = np.flatnonzero(np.r_[True, key_s[1:] != key_s[:-1]])
+    score = np.add.reduceat(contrib_s, starts)
+    pair_owner = key_s[starts] // n
+    pair_tc = key_s[starts] % n
+    sel = np.lexsort((pair_tc, -score, pair_owner))
+    po = pair_owner[sel]
+    first = sel[np.flatnonzero(np.r_[True, po[1:] != po[:-1]])]
+    targets[pair_owner[first]] = pair_tc[first]
+    ratings[pair_owner[first]] = score[first]
+    return targets, ratings
 
 
 # ---------------------------------------------------------------------------

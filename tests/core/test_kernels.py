@@ -103,6 +103,28 @@ class TestStructureKernels:
         assert np.array_equal(ref_ptr, got_ptr)
         assert np.array_equal(ref_out, got_out)
 
+    @pytest.mark.parametrize("n", [0, 1, 65_536, 65_537, 200_003])
+    def test_incidence_radix_passes(self, n):
+        """The transpose sorts one 16-bit digit per pass; the strategy
+        above draws tiny ``n``, so only these sizes reach a second
+        pass.  Ids that share their low 16 bits (v and v + 65 536) must
+        come out in node order."""
+        rng = np.random.default_rng(n)
+        m = 40_000 if n else 0
+        lengths = rng.integers(1, 7, size=m)
+        flat = rng.integers(0, max(n, 1), size=int(lengths.sum()))
+        if n > 65_536:
+            flat[:4] = [n - 1, (n - 1) % 65_536, 65_536, 0]
+        ptr, pins = kernels.normalize_edges(lengths, flat, n)
+        got_ptr, got_out = kernels.incidence_from_csr(ptr, pins, n)
+        stable = kernels.edge_ids_from_ptr(ptr)[np.argsort(pins,
+                                                           kind="stable")]
+        assert got_out.tobytes() == stable.tobytes()
+        ref_ptr, ref_out = kernels._reference_incidence(_edges_of(ptr, pins),
+                                                        n)
+        assert np.array_equal(got_ptr, ref_ptr)
+        assert np.array_equal(got_out, ref_out)
+
     @given(hypergraphs())
     def test_degrees_match_reference(self, g: Hypergraph):
         ref = kernels._reference_degrees(g.edges, g.n)

@@ -16,6 +16,7 @@ from repro.core import (
     is_balanced,
 )
 from repro.core.tolerance import GAIN_ATOL, leq
+from repro.errors import InfeasibleError
 from repro.generators import (
     block,
     planted_partition_hypergraph,
@@ -31,6 +32,7 @@ from repro.partitioners import (
     restrict_to_nodes,
 )
 from repro.partitioners.fm import _reference_fm_refine, _State
+from repro.partitioners.greedy import _reference_greedy_sequential_partition
 from repro.partitioners.subround import subround_coarsen_step
 
 from ..conftest import hypergraphs
@@ -96,6 +98,28 @@ class TestGreedy:
         g = Hypergraph.disjoint_union([block(6), block(6)])
         p = bfs_growth_partition(g, 2, eps=0.0, rng=3)
         assert connectivity_cost(g, p.labels, 2) == 0
+
+    @given(hypergraphs(max_nodes=24, max_edges=30), st.integers(2, 6),
+           st.sampled_from([0.0, 0.05, 0.3]),
+           st.sampled_from(["unit", "integral", "float"]),
+           st.sampled_from([Metric.CONNECTIVITY, Metric.CUT_NET]),
+           st.booleans(), st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_sequential_matches_reference_loop(self, g, k, eps, weights,
+                                               metric, relaxed, seed, data):
+        """The list-based loop places every node where the numpy-scalar
+        reference does, or fails with the same error."""
+        if weights != "unit":
+            g = _weighted(g, data, integral=weights == "integral")
+        outcomes = []
+        for place in (greedy_sequential_partition,
+                      _reference_greedy_sequential_partition):
+            try:
+                outcomes.append(place(g, k, eps, metric=metric, rng=seed,
+                                      relaxed=relaxed).labels.tobytes())
+            except InfeasibleError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestFM:

@@ -26,7 +26,9 @@ from repro.partitioners import subround
 from repro.partitioners.base import weight_caps
 from repro.partitioners.subround import (
     RoundPool,
+    _reference_stage_propose,
     _reference_subround_fm_refine,
+    _stage_propose,
     subround_coarsen_step,
     subround_fm_refine,
 )
@@ -53,6 +55,42 @@ def weighted_hypergraphs(draw) -> Hypergraph:
     ew = draw(st.lists(st.floats(0.0, 4.0), min_size=g.num_edges,
                        max_size=g.num_edges))
     return Hypergraph(n, g.edges, node_weights=nw, edge_weights=ew)
+
+
+@st.composite
+def clustered_levels(draw):
+    """A level part-way through a clustering round: a hypergraph (unit
+    weights, whose equal ratings exercise the cluster-id tie-break, or
+    float weights), a clustering with non-singleton clusters, a subset
+    of its singletons as movers, and a cluster-weight cap from tight
+    (nothing admissible) to loose."""
+    n = draw(st.integers(2, 60))
+    edges = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1,
+                                   max_size=6), max_size=90))
+    g = Hypergraph(n, edges)
+    if draw(st.booleans()):
+        nw = draw(st.lists(st.floats(0.1, 4.0), min_size=n, max_size=n))
+        ew = draw(st.lists(st.floats(0.0, 4.0), min_size=g.num_edges,
+                           max_size=g.num_edges))
+        g = Hypergraph(n, g.edges, node_weights=nw, edge_weights=ew)
+    # a node either represents its own cluster or joins a representative
+    is_rep = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    is_rep[0] = True
+    reps = np.flatnonzero(is_rep)
+    picks = draw(st.lists(st.integers(0, reps.size - 1), min_size=n,
+                          max_size=n))
+    cluster = np.where(is_rep, np.arange(n), reps[picks]).astype(np.int64)
+    cweight = np.bincount(cluster, weights=g.node_weights, minlength=n)
+    singles = np.flatnonzero(np.bincount(cluster, minlength=n)[cluster] == 1)
+    keep = draw(st.lists(st.booleans(), min_size=singles.size,
+                         max_size=singles.size))
+    movers = singles[np.array(keep, dtype=bool)]
+    max_w = draw(st.floats(0.5, 8.0)) * float(g.node_weights.mean())
+    ptr, pins = g.csr()
+    view = subround._LevelView(ptr, pins, *g.incidence(), g.node_weights,
+                               g.edge_weights,
+                               {"cluster": cluster, "cweight": cweight})
+    return view, movers.astype(np.int64), (max_w,)
 
 
 @pytest.fixture
@@ -137,6 +175,28 @@ class TestCoarsenStep:
         coarse, _ = subround_coarsen_step(g, np.random.default_rng(2), cap,
                                           pool=None)
         assert coarse.node_weights.max() <= cap + 1e-9
+
+
+class TestProposeStage:
+    @given(clustered_levels(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_reference_lexsort(self, level, data):
+        """The segmented max picks each mover's lexsort winner: rating
+        desc, then cluster id asc, with bitwise-equal ratings."""
+        view, movers, extra = level
+        got = _stage_propose(view, movers, extra)
+        ref = _reference_stage_propose(view, movers, extra)
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+        # any split of the movers concatenates to the same answer
+        cut = data.draw(st.integers(0, movers.size))
+        parts = [_stage_propose(view, movers[:cut], extra),
+                 _stage_propose(view, movers[cut:], extra)]
+        for i, whole in enumerate(got):
+            joined = np.concatenate([p[i] for p in parts])
+            assert joined.dtype == whole.dtype
+            assert joined.tobytes() == whole.tobytes()
 
 
 class TestFMRefine:
