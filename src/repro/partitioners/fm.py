@@ -7,6 +7,33 @@ refines a starting partition by single-node moves with best-prefix
 rollback, supports both cost metrics, arbitrary ``k``, node weights
 (needed on coarsened hypergraphs), per-part capacity caps, and locked
 (fixed-colour) nodes as used by the reduction experiments.
+
+:func:`fm_refine` keeps every node's per-part move deltas exact by delta
+updates, as the k-way FM of KaHyPar does (Schlag et al., *High-Quality
+Hypergraph Partitioning*).  The rows are filled in one batch at the
+start of a pass.  A move of ``v`` from part ``a`` to part ``b`` then walks
+``v``'s edges once; with the old counts ``ca = pc[e, a]`` and
+``cb = pc[e, b]`` of an edge ``e`` of weight ``w_e``, the rows of the
+other pins of ``e`` change only on these thresholds:
+
+* connectivity —
+  ``ca == 1``: ``+w_e`` on column ``a`` of every other pin (entering ``a``
+  no longer adds ``e`` to it);
+  ``cb == 0``: ``-w_e`` on column ``b`` of every other pin;
+  ``ca == 2``: ``-w_e`` on the whole row of the one remaining ``a``-pin
+  (moving it now takes ``e`` out of ``a``);
+  ``cb == 1``: ``+w_e`` on the whole row of the former sole ``b``-pin;
+* cut-net — on the same four thresholds, each other pin's ``k``-column
+  contribution of ``e`` is replaced by its new one.  The contribution
+  to column ``t`` is ``w_e * ([λ_e - leave + (pc[e, t] == 0) > 1] -
+  [λ_e > 1])``, where ``leave`` is the pin's flag ``pc[e, own] == 1``.
+
+Any other edge only updates its counts.  With integer-valued weights
+every stored delta is an exact integer, so the rows equal fresh sums
+bit for bit and the labels equal those of :func:`_reference_fm_refine`,
+the per-node rating loop kept as the oracle, on both metrics.  With
+float weights the sums are formed in another order and near-ties may
+break differently.
 """
 
 from __future__ import annotations
@@ -24,7 +51,7 @@ from ..core import kernels
 from ..core.cost import Metric
 from ..core.hypergraph import Hypergraph
 from ..core.partition import Partition
-from ..core.tolerance import GAIN_ATOL, geq, gt, leq, lt
+from ..core.tolerance import ATOL, GAIN_ATOL, geq, gt, leq, lt
 from .base import weight_caps
 
 __all__ = ["fm_refine", "fm_bipartition_refine"]
@@ -163,20 +190,6 @@ class _State:
         feasible[np.arange(rows), own] = False
         return np.where(feasible, deltas, np.inf).min(axis=1)
 
-    def cached_move(self, v: int, caps: np.ndarray) -> tuple[float, int] | None:
-        """``best_move`` from the deltas ``rate`` last stored for ``v``.
-
-        Exact as long as ``v`` was re-rated after the last move of any
-        node it shares a hyperedge with: only such moves change the
-        pin-count rows its deltas are summed from.
-        """
-        feasible = leq(self.part_weight + self.graph.node_weights[v], caps)
-        feasible[self.labels[v]] = False
-        deltas = np.where(feasible, self.deltas[v], np.inf)
-        b = int(deltas.argmin())
-        d = float(deltas[b])
-        return (d, b) if math.isfinite(d) else None
-
 
 def _adjacency(graph: Hypergraph) -> list[np.ndarray]:
     """Per-node neighbour arrays (nodes sharing a hyperedge), computed
@@ -203,6 +216,13 @@ def _prepare(graph, partition, k, eps, caps, locked, relaxed):
     return labels, k, caps, locked_base
 
 
+def _rows(ptr: np.ndarray, idx: np.ndarray) -> list[list[int]]:
+    """The rows of the CSR pair ``(ptr, idx)`` as plain lists."""
+    flat = idx.tolist()
+    bounds = ptr.tolist()
+    return [flat[s:t] for s, t in zip(bounds, bounds[1:])]
+
+
 def fm_refine(
     graph: Hypergraph,
     partition: Partition | Sequence[int] | np.ndarray,
@@ -225,38 +245,178 @@ def fm_refine(
     recursive partitioner uses this for uneven target sizes.  ``locked``
     nodes never move (fixed-colour gadget nodes).
 
-    Gains are kept in a per-node delta cache: the pass-start heap fill
-    and the re-rating of a moved node's unlocked neighbours are each one
-    batched ``_State.rate``, and a popped node is re-checked from its
-    stored row against the current part weights.  The move sequence is
-    that of :func:`_reference_fm_refine`, which rates node by node.
+    Gains live in per-node delta rows.  A pass starts with one batched
+    ``_State.rate`` over all unlocked nodes; after that it runs on plain
+    lists.  A move of ``v`` from ``a`` to ``b`` walks ``v``'s edges once and
+    changes the rows of an edge's other pins only where the edge's old
+    count ``ca`` in ``a`` is 1 or 2 or its old count ``cb`` in ``b`` is 0
+    or 1 (the rules are in the module docstring); a whole-row change is
+    kept as a per-node shift.  Every unlocked neighbour of ``v`` is then
+    pushed with the best feasible delta read from its row, and a popped
+    node is re-checked the same way, against the current part weights.
+    With integer-valued weights every row stays an exact integer sum, so
+    the labels equal those of :func:`_reference_fm_refine` on both
+    metrics; with float weights near-ties may break differently.
     """
     labels, k, caps, locked_base = _prepare(graph, partition, k, eps, caps,
                                             locked, relaxed)
     state = _State(graph, labels, k)
-    adjacency = _adjacency(graph)
     # Classic FM slack: during a pass a part may exceed its cap by one
     # node, otherwise no single move is ever feasible at ε = 0.  Only
     # prefixes that end in a feasible (cap-respecting) state are kept.
     slack = float(graph.node_weights.max(initial=0.0))
     pass_caps = caps + slack
+    free = np.flatnonzero(~locked_base)
+    free_nodes = free.tolist()
+    cut_net = metric == Metric.CUT_NET
+
+    # Plain-list state of the pass loop.  During a pass it is the only
+    # authoritative copy; ``state`` is refreshed from it after the pass,
+    # before the next batched fill.
+    ptr, pins = graph.csr()
+    edge_pins = _rows(ptr, pins)
+    node_edges = _rows(*graph.incidence())
+    neighbours = _rows(*kernels.adjacency_csr(ptr, pins, graph.n))
+    ew = graph.edge_weights.tolist()
+    nw = graph.node_weights.tolist()
+    pc = state.pin_counts.tolist()
+    lam = state.nonzero.tolist()
+    lab = state.labels.tolist()
+    pw = state.part_weight.tolist()
+    caps_list = caps.tolist()
+    # leq(pw[t] + w, pass_caps[t]) with the right-hand side precomputed
+    lim = (pass_caps + ATOL).tolist()
+    w_min = min(nw, default=0.0)
+    # rows[u][t] - shift[u] is the delta of moving u to t (inf at u's part)
+    rows: list[list[float]] = []
+    shift: list[float] = []
+    parts_open: list[int] = []
 
     def feasible() -> bool:
-        return bool(np.all(leq(state.part_weight, caps)))
+        return all(map(leq, pw, caps_list))
 
-    def push(heap: list, nodes: np.ndarray) -> None:
-        best = state.rate(nodes, pass_caps, metric)
-        ok = np.isfinite(best)
-        for d, v in zip(best[ok].tolist(), nodes[ok].tolist()):
-            heapq.heappush(heap, (d, next(tick), v))
+    def open_parts() -> list[int]:
+        # Float addition is monotone, so a part the lightest node does
+        # not fit into fits no node: only these parts need a check.
+        return [t for t in range(k) if pw[t] + w_min <= lim[t]]
+
+    def target(u: int) -> tuple[float, int] | None:
+        """``best_move`` of ``u`` from its row: the first cheapest part
+        its weight fits into.  The row holds ``inf`` at ``u``'s own part."""
+        r = rows[u]
+        w = nw[u]
+        d = math.inf
+        for t in parts_open:
+            if r[t] < d and pw[t] + w <= lim[t]:
+                d, b = r[t], t
+        return (d - shift[u], b) if d < math.inf else None
+
+    def move(v: int, b: int) -> None:
+        """Move ``v`` to ``b`` and update the rows its edges' thresholds
+        touch (``v``'s own row goes stale; ``v`` stays locked)."""
+        a = lab[v]
+        for e in node_edges[v]:
+            pe = pc[e]
+            ca = pe[a]
+            cb = pe[b]
+            pe[a] = ca - 1
+            pe[b] = cb + 1
+            if ca > 2 and cb > 1:
+                continue
+            we = ew[e]
+            lam0 = lam[e]
+            lam1 = lam[e] = lam0 - (ca == 1) + (cb == 0)
+            if cut_net:
+                # Contribution of e to column t of pin u's row:
+                # we * ([s + (pc[e, t] == 0) > 1] - [lam > 1]), where s is
+                # lam less u's leave flag (pc[e, own] == 1).
+                h0 = lam0 > 1
+                h1 = lam1 > 1
+                for u in edge_pins[e]:
+                    if u == v:
+                        continue
+                    o = lab[u]
+                    if o == a:
+                        s0, s1 = lam0, lam1 - (ca == 2)
+                    elif o == b:
+                        s0, s1 = lam0 - (cb == 1), lam1
+                    else:
+                        s0 = lam0 - (pe[o] == 1)
+                        s1 = lam1 - (pe[o] == 1)
+                    x0 = (s0 > 1) - h0      # where pc[e, t] > 0
+                    y0 = (s0 >= 1) - h0     # where pc[e, t] == 0
+                    x1 = (s1 > 1) - h1
+                    y1 = (s1 >= 1) - h1
+                    r = rows[u]
+                    if x1 != x0 or y1 != y0:
+                        for t in range(k):
+                            if t != a and t != b:
+                                c = y1 - y0 if pe[t] == 0 else x1 - x0
+                                if c:
+                                    r[t] += c * we
+                    c = (y1 if ca == 1 else x1) - x0
+                    if c:
+                        r[a] += c * we
+                    c = x1 - (y0 if cb == 0 else x0)
+                    if c:
+                        r[b] += c * we
+                continue
+            # entering a no longer adds e, entering b no longer saves it
+            if ca == 1 and cb == 0:
+                for u in edge_pins[e]:
+                    r = rows[u]
+                    r[a] += we
+                    r[b] -= we
+            elif ca == 1:
+                for u in edge_pins[e]:
+                    rows[u][a] += we
+            elif cb == 0:
+                for u in edge_pins[e]:
+                    rows[u][b] -= we
+            # the last a-pin now takes e out of a when it leaves, the old
+            # sole b-pin no longer does: each shifts that pin's whole row
+            if ca == 2:
+                for u in edge_pins[e]:
+                    if lab[u] == a and u != v:
+                        shift[u] += we
+                        break
+            if cb == 1:
+                for u in edge_pins[e]:
+                    if lab[u] == b:
+                        shift[u] -= we
+                        break
+        w = nw[v]
+        pw[a] -= w
+        pw[b] += w
+        lab[v] = b
+
+    def undo(v: int, a: int) -> None:
+        """Move ``v`` back to ``a``: counts and weights only."""
+        b = lab[v]
+        for e in node_edges[v]:
+            pe = pc[e]
+            pe[b] -= 1
+            pe[a] += 1
+            lam[e] += (pe[a] == 1) - (pe[b] == 0)
+        w = nw[v]
+        pw[b] -= w
+        pw[a] += w
+        lab[v] = a
 
     start_feasible = feasible()
     tick = count()
     for _pass in range(max_passes):
         instrument.bump("fm_passes")
-        locked_now = locked_base.copy()
-        heap: list[tuple[float, int, int]] = []
-        push(heap, np.flatnonzero(~locked_now))
+        locked_now = locked_base.tolist()
+        best = state.rate(free, pass_caps, metric)
+        rows = state.deltas.tolist()
+        shift = [0.0] * graph.n
+        for v in free_nodes:
+            rows[v][lab[v]] = math.inf
+        heap = [(d, next(tick), v)
+                for d, v in zip(best.tolist(), free_nodes) if d < math.inf]
+        heapq.heapify(heap)
+        parts_open = open_parts()
         moves: list[tuple[int, int]] = []  # (node, previous part)
         cum = 0.0
         best_cum = 0.0
@@ -265,28 +425,37 @@ def fm_refine(
             d, _, v = heapq.heappop(heap)
             if locked_now[v]:
                 continue
-            mv = state.cached_move(v, pass_caps)
+            mv = target(v)
             if mv is None:
                 continue
             if gt(mv[0], d, atol=GAIN_ATOL):
                 heapq.heappush(heap, (mv[0], next(tick), v))
                 continue
             d, b = mv
-            moves.append((v, int(state.labels[v])))
-            state.apply(v, b)
+            moves.append((v, lab[v]))
+            move(v, b)
+            parts_open = open_parts()
             locked_now[v] = True
             cum += d
-            acceptable = feasible() or not start_feasible
-            if acceptable and lt(cum, best_cum, atol=GAIN_ATOL):
+            if (lt(cum, best_cum, atol=GAIN_ATOL)
+                    and (not start_feasible or feasible())):
                 best_cum = cum
                 best_len = len(moves)
-            nbrs = adjacency[v]
-            nbrs = nbrs[~locked_now[nbrs]]
-            if nbrs.size:
-                push(heap, nbrs)
-        # Roll back past the best prefix.
+            for u in neighbours[v]:
+                if not locked_now[u]:
+                    mv = target(u)
+                    if mv is not None:
+                        heapq.heappush(heap, (mv[0], next(tick), u))
+        # Roll back past the best prefix, then hand the result to state.
         for v, prev in reversed(moves[best_len:]):
-            state.apply(v, prev)
+            undo(v, prev)
+        touched = sorted({e for v, _ in moves[:best_len]
+                          for e in node_edges[v]})
+        if touched:
+            state.pin_counts[touched] = [pc[e] for e in touched]
+            state.nonzero[touched] = [lam[e] for e in touched]
+        state.labels[:] = lab
+        state.part_weight[:] = pw
         if geq(best_cum, 0.0, atol=GAIN_ATOL):
             break
     if sanitize.ENABLED:

@@ -315,8 +315,8 @@ def _refine(graph, labels, k, eps, metric, caps, pool=None):
     """Pick the refinement engine by level size (instance-dependent only,
     so the choice — and the result — is identical for every ``n_jobs``).
 
-    Every heap-FM move re-rates the mover's neighbours over all their
-    incident edges, so the heap FM is gated on *both* node and pin
+    Every heap-FM move walks all pins of the mover's edges and pushes
+    every neighbour, so the heap FM is gated on *both* node and pin
     count: coarse levels of expander-ish instances keep hundreds of
     thousands of pins across a few hundred nodes, and a single heap
     pass there costs more than every sub-round pass of the whole
