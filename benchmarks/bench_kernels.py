@@ -9,10 +9,13 @@ its re-rate-every-boundary-node ``_reference_subround_fm_refine`` loop
 (row ``subround_fm``).  Every case also times coarsening's proposal
 stage ``subround._stage_propose`` against its lexsort
 ``_reference_stage_propose`` (row ``propose``: every node a singleton
-mover, cluster cap three times the average node weight) and
-``greedy_sequential_partition`` against its numpy-scalar
-``_reference_greedy_sequential_partition`` loop (row ``greedy``: k=8,
-eps 0.05, relaxed caps).  It writes
+mover, cluster cap three times the average node weight), refinement's
+gain stage ``subround._stage_fm_gain`` against its per-part
+``bincount`` ``_reference_stage_fm_gain`` (row ``fm_gain``: k=8, the
+case's random labels, the nodes v ≡ 0 (mod 8) as one sub-round's
+chunk, connectivity) and ``greedy_sequential_partition`` against its
+numpy-scalar ``_reference_greedy_sequential_partition`` loop (row
+``greedy``: k=8, eps 0.05, relaxed caps).  It writes
 ``BENCH_kernels.json`` next to this file — the committed baseline that
 ``scripts/check_bench_regression.py`` (and the opt-in ``-m benchcheck``
 pytest marker) compares fresh runs against.
@@ -141,6 +144,19 @@ def bench_case(n: int, m: int, seed: int, repeats: int) -> dict:
     pairs["propose"] = (
         lambda: subround._reference_stage_propose(view, movers, cap),
         lambda: subround._stage_propose(view, movers, cap),
+    )
+    # one refinement sub-round's gain stage: k=8, the random labels
+    pc = kernels.pin_count_matrix(ptr, pins, labels, k)
+    fm_view = subround._LevelView(
+        ptr, pins, *graph.incidence(), graph.node_weights,
+        graph.edge_weights, {"labels": labels, "pin_counts": pc,
+                             "edge_nz": (pc > 0).sum(axis=1)
+                             .astype(np.int64)})
+    sub_round = np.arange(0, n, 8, dtype=np.int64)
+    pairs["fm_gain"] = (
+        lambda: subround._reference_stage_fm_gain(fm_view, sub_round,
+                                                  (k, True)),
+        lambda: subround._stage_fm_gain(fm_view, sub_round, (k, True)),
     )
     pairs["greedy"] = (
         lambda: greedy._reference_greedy_sequential_partition(

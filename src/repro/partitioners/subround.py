@@ -12,8 +12,10 @@ module implements that scheme on shared-memory CSR buffers:
   pure function of the snapshot, so splitting the node set into chunks
   — serially or across worker processes — cannot change any output;
 * per-(node, cluster) rating sums are accumulated in incidence order
-  via a stable sort + ``reduceat`` (clustering) or ordered ``bincount``
-  (FM gains), so float summation order is chunk-boundary independent;
+  — via a sort that keeps equal keys in order + ``reduceat``
+  (clustering), or a CSR × dense product whose rows list each node's
+  incidences in order (FM gains) — so float summation order is
+  chunk-boundary independent;
 * all state mutation happens in the parent between stages.
 
 Consequence: ``multilevel_partition(seed=s, n_jobs=j)`` is
@@ -31,6 +33,7 @@ import multiprocessing as mp
 import traceback
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from ..analyze import sanitize
 from ..core import kernels
@@ -65,6 +68,9 @@ _POOL_MIN_ITEMS = 4096
 # Serial stages are chunked too (bounds peak temporaries; the results
 # are chunk-independent by construction so this is free).
 _SERIAL_CHUNK = 1 << 18
+# Bit budget of propose's packed (owner, cluster, position) sort key: a
+# non-negative int64.  One mover always fits (n and its pairs < 2^31).
+_PACK_BITS = 63
 # Floating-point slack for "strictly improving" decisions, mirroring
 # fm.GAIN_ATOL: gains are sums of edge weights, so exact zeros dominate
 # and anything beyond 1e-9 is a real improvement on sane weights.
@@ -112,14 +118,18 @@ def _stage_propose(view: _LevelView, chunk: np.ndarray, extra) -> tuple:
 
     Rating of mover v joining cluster C is the heavy-pin score
     Σ_{e ∋ v} w_e/(|e|−1) · |pins(e) ∩ C|, accumulated per (owner,
-    cluster) in the owner's incidence order — a stable sort groups the
-    pairs without reordering equal keys, so the float sum is identical
-    under any chunking.  Ties broken by (rating desc, cluster id asc):
-    the sorted pairs of a mover run in increasing cluster id, so a
-    segmented max (``maximum.reduceat``) and the first pair reaching it
-    pick the winner without a second sort.  Returns ``(targets,
-    ratings)`` aligned with ``chunk``; target −1 where no admissible
-    cluster exists.
+    cluster) in the owner's incidence order.  The pairs are grouped by
+    one ``np.sort`` of the (owner, cluster) key with each pair's
+    position packed into its low bits: the packed values are distinct,
+    so the sort returns the stable argsort's permutation and equal keys
+    keep their order, which makes the float sum identical under any
+    chunking.  A chunk whose packed key would pass ``_PACK_BITS`` bits
+    is split in two (the stage is split-invariant).  Ties broken by
+    (rating desc, cluster id asc): the sorted pairs of a mover run in
+    increasing cluster id, so a segmented max (``maximum.reduceat``)
+    and the first pair reaching it pick the winner without a second
+    sort.  Returns ``(targets, ratings)`` aligned with ``chunk``;
+    target −1 where no admissible cluster exists.
     """
     (max_w,) = extra
     cluster = view.state["cluster"]
@@ -147,9 +157,17 @@ def _stage_propose(view: _LevelView, chunk: np.ndarray, extra) -> tuple:
     owner, tc, contrib = owner[ok], tc[ok], contrib[ok]
     if owner.size == 0:
         return targets, ratings
+    # key < c·n; the low b bits carry the pair's position
+    b = owner.size.bit_length()
+    if chunk.size > 1 and int(chunk.size * n).bit_length() + b > _PACK_BITS:
+        half = chunk.size // 2
+        lo = _stage_propose(view, chunk[:half], extra)
+        hi = _stage_propose(view, chunk[half:], extra)
+        return tuple(np.concatenate(pair) for pair in zip(lo, hi))
     key = owner * n + tc
-    order = np.argsort(key, kind="stable")
-    key_s, contrib_s = key[order], contrib[order]
+    packed = np.sort((key << b) | np.arange(key.size, dtype=np.int64))
+    key_s = packed >> b
+    contrib_s = contrib[packed & ((1 << b) - 1)]
     starts = np.flatnonzero(np.r_[True, key_s[1:] != key_s[:-1]])
     score = np.add.reduceat(contrib_s, starts)
     pair_key = key_s[starts]
@@ -173,41 +191,39 @@ def _stage_fm_gain(view: _LevelView, chunk: np.ndarray, extra) -> tuple:
     snapshot (no deltas to reconcile across workers).  A node's result
     reads only its own label and the ``pin_counts`` rows and ``edge_nz``
     of its incident edges, which is what lets ``subround_fm_refine``
-    cache it until a move touches one of those edges.  Per-node sums
-    run over the node's incidence order via ``bincount``, so they are
+    cache it until a move touches one of those edges.  The chunk's
+    pin-count rows are read with one row ``take``, and all k part sums
+    are one product of a CSR matrix (row i: node i's edge weights, in
+    its incidence order) with a 0/1 matrix over those rows.  The product
+    adds a row's terms in column order from zero, as an ordered
+    ``bincount`` does, so every gain equals
+    :func:`_reference_stage_fm_gain`'s bit for bit and is
     chunk-boundary independent.  Ties: ``argmax`` returns the smallest
     part id.  Returns ``(gains, targets)``.
     """
-    k, conn = extra
+    _, conn = extra
     labels = view.state["labels"]
     pc = view.state["pin_counts"]
-    edge_nz = view.state["edge_nz"]
     c = chunk.size
     inc_ptr, inc = kernels.gather_rows(view.node_ptr, view.node_edges, chunk)
-    own = np.repeat(np.arange(c, dtype=np.int64), np.diff(inc_ptr))
     a = labels[chunk]
-    a_pin = a[own]
-    pcr = pc[inc]
-    wr = view.ew[inc]
-    rows = np.arange(own.size)
-    gm = np.empty((c, k), dtype=np.float64)
+    pcr = np.take(pc, inc, axis=0)
+    a_pin = np.repeat(a, np.diff(inc_ptr))
+    # v is the last pin of e in its own part
+    leave = np.take_along_axis(pcr, a_pin[:, None], axis=1)[:, 0] == 1
+    w = csr_matrix((view.ew[inc], np.arange(inc.size), inc_ptr),
+                   shape=(c, inc.size))
     if conn:
         # connectivity: leaving part a removes w_e where v was its last
         # pin there; entering part t adds w_e where t had no pin yet
-        rem = np.bincount(own, weights=wr * (pcr[rows, a_pin] == 1),
-                          minlength=c)
-        for t in range(k):
-            gm[:, t] = rem - np.bincount(own, weights=wr * (pcr[:, t] == 0),
-                                         minlength=c)
+        rem = w @ leave.astype(np.float64)
+        gm = rem[:, None] - w @ (pcr == 0).astype(np.float64)
     else:
         # cut-net: an edge pays w_e iff it spans >1 part after the move
-        nzr = edge_nz[inc]
-        before = np.bincount(own, weights=wr * (nzr > 1), minlength=c)
-        base_nz = nzr - (pcr[rows, a_pin] == 1)
-        for t in range(k):
-            after = base_nz + (pcr[:, t] == 0)
-            gm[:, t] = before - np.bincount(own, weights=wr * (after > 1),
-                                            minlength=c)
+        nzr = view.state["edge_nz"][inc]
+        before = w @ (nzr > 1).astype(np.float64)
+        after = ((nzr - leave)[:, None] + (pcr == 0)) > 1
+        gm = before[:, None] - w @ after.astype(np.float64)
     if c:
         gm[np.arange(c), a] = -np.inf
     tgt = np.argmax(gm, axis=1).astype(np.int64)
@@ -265,6 +281,51 @@ def _reference_stage_propose(view: _LevelView, chunk: np.ndarray,
     targets[pair_owner[first]] = pair_tc[first]
     ratings[pair_owner[first]] = score[first]
     return targets, ratings
+
+
+def _reference_stage_fm_gain(view: _LevelView, chunk: np.ndarray,
+                             extra) -> tuple:
+    """Old ``_stage_fm_gain``: a 2-D fancy gather of the pin-count
+    rows and one ordered ``bincount`` per part.
+
+    Retained as the oracle of :func:`_stage_fm_gain` (property tests in
+    ``tests/partitioners/test_subround.py``) and as the reference side
+    of the ``fm_gain`` row in ``benchmarks/bench_kernels.py``.
+    """
+    k, conn = extra
+    labels = view.state["labels"]
+    pc = view.state["pin_counts"]
+    edge_nz = view.state["edge_nz"]
+    c = chunk.size
+    inc_ptr, inc = kernels.gather_rows(view.node_ptr, view.node_edges, chunk)
+    own = np.repeat(np.arange(c, dtype=np.int64), np.diff(inc_ptr))
+    a = labels[chunk]
+    a_pin = a[own]
+    pcr = pc[inc]
+    wr = view.ew[inc]
+    rows = np.arange(own.size)
+    gm = np.empty((c, k), dtype=np.float64)
+    if conn:
+        # connectivity: leaving part a removes w_e where v was its last
+        # pin there; entering part t adds w_e where t had no pin yet
+        rem = np.bincount(own, weights=wr * (pcr[rows, a_pin] == 1),
+                          minlength=c)
+        for t in range(k):
+            gm[:, t] = rem - np.bincount(own, weights=wr * (pcr[:, t] == 0),
+                                         minlength=c)
+    else:
+        # cut-net: an edge pays w_e iff it spans >1 part after the move
+        nzr = edge_nz[inc]
+        before = np.bincount(own, weights=wr * (nzr > 1), minlength=c)
+        base_nz = nzr - (pcr[rows, a_pin] == 1)
+        for t in range(k):
+            after = base_nz + (pcr[:, t] == 0)
+            gm[:, t] = before - np.bincount(own, weights=wr * (after > 1),
+                                            minlength=c)
+    if c:
+        gm[np.arange(c), a] = -np.inf
+    tgt = np.argmax(gm, axis=1).astype(np.int64)
+    return gm[np.arange(c), tgt], tgt
 
 
 # ---------------------------------------------------------------------------
@@ -830,7 +891,7 @@ def _bulk_move(graph, labels, pc, edge_nz, part_w, ncut, stale, nodes,
     np.add.at(pc, (rows, np.repeat(old, reps)), -1)
     np.add.at(pc, (rows, np.repeat(new_labels, reps)), 1)
     touched = np.unique(rows)
-    new_nz = (pc[touched] > 0).sum(axis=1).astype(np.int64)
+    new_nz = (np.take(pc, touched, axis=0) > 0).sum(axis=1).astype(np.int64)
     old_nz = edge_nz[touched]
     cut_flip = (new_nz > 1).astype(np.int64) - (old_nz > 1)
     if conn:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Hypergraph, Metric, Partition, cost
+from repro.core import Hypergraph, Metric, Partition, cost, kernels
 from repro.core.shm import SharedArrays, SharedCSR
 from repro.errors import WorkerPoolError
 from repro.generators import streaming_planted_hypergraph
@@ -26,8 +26,10 @@ from repro.partitioners import subround
 from repro.partitioners.base import weight_caps
 from repro.partitioners.subround import (
     RoundPool,
+    _reference_stage_fm_gain,
     _reference_stage_propose,
     _reference_subround_fm_refine,
+    _stage_fm_gain,
     _stage_propose,
     subround_coarsen_step,
     subround_fm_refine,
@@ -91,6 +93,37 @@ def clustered_levels(draw):
                                g.edge_weights,
                                {"cluster": cluster, "cweight": cweight})
     return view, movers.astype(np.int64), (max_w,)
+
+
+@st.composite
+def fm_levels(draw):
+    """A refinement snapshot for the FM-gain stage: float edge weights in
+    [0, 4] (exact zeros included) or integer ones, k from 2 to 9, random
+    labels, and a sorted chunk.  Node 0, always in the chunk, lies on
+    16+ edges, so its sums formed in another order than incidence order
+    can differ in the last bits; the last node lies on none."""
+    n = draw(st.integers(2, 30))
+    hub = draw(st.lists(st.lists(st.integers(1, n - 1), max_size=5),
+                        min_size=16, max_size=24))
+    edges = [[0, *e] for e in hub] + draw(st.lists(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=6),
+        max_size=40))
+    g = Hypergraph(n + 1, edges)
+    weight = (st.one_of(st.just(0.0), st.floats(0.0, 4.0))
+              if draw(st.booleans()) else st.integers(0, 9))
+    ew = draw(st.lists(weight, min_size=g.num_edges, max_size=g.num_edges))
+    g = Hypergraph(g.n, g.edges, edge_weights=ew)
+    k = draw(st.integers(2, 9))
+    labels = draw(labelings(g.n, k))
+    pc = kernels.pin_count_matrix(*g.csr(), labels, k)
+    keep = draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+    chunk = np.flatnonzero([True, *keep[1:]]).astype(np.int64)
+    view = subround._LevelView(*g.csr(), *g.incidence(), g.node_weights,
+                               g.edge_weights,
+                               {"labels": labels, "pin_counts": pc,
+                                "edge_nz": (pc > 0).sum(axis=1)
+                                .astype(np.int64)})
+    return view, chunk, k
 
 
 @pytest.fixture
@@ -197,6 +230,55 @@ class TestProposeStage:
             joined = np.concatenate([p[i] for p in parts])
             assert joined.dtype == whole.dtype
             assert joined.tobytes() == whole.tobytes()
+
+
+    @given(clustered_levels(), st.integers(0, 20))
+    @settings(max_examples=120, deadline=None)
+    def test_split_path_matches_reference(self, level, budget):
+        """With the packed key's bit budget lowered, chunks split (at a
+        budget below 4 every chunk of 2+ movers with a pair does) and
+        the halves still give the lexsort answer bit for bit."""
+        view, movers, extra = level
+        stage = subround._stage_propose
+        calls = []
+
+        def counting_stage(view, chunk, extra):
+            calls.append(chunk.size)
+            return stage(view, chunk, extra)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(subround, "_PACK_BITS", budget)
+            mp.setattr(subround, "_stage_propose", counting_stage)
+            got = counting_stage(view, movers, extra)
+        ref = _reference_stage_propose(view, movers, extra)
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+        if budget < 4 and movers.size > 1 and (ref[0] >= 0).any():
+            assert len(calls) > 1
+
+
+class TestFMGainStage:
+    @given(fm_levels(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_bincounts(self, level, data):
+        """The CSR product adds each node's terms in incidence order, as
+        the reference's per-part ``bincount`` does: gains and targets
+        are bitwise equal on both metrics, and any split of the chunk
+        concatenates to the whole answer."""
+        view, chunk, k = level
+        cut = data.draw(st.integers(0, chunk.size))
+        for conn in (True, False):
+            got = _stage_fm_gain(view, chunk, (k, conn))
+            ref = _reference_stage_fm_gain(view, chunk, (k, conn))
+            parts = [_stage_fm_gain(view, chunk[:cut], (k, conn)),
+                     _stage_fm_gain(view, chunk[cut:], (k, conn))]
+            for i, (a, b) in enumerate(zip(got, ref)):
+                assert a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
+                joined = np.concatenate([p[i] for p in parts])
+                assert joined.dtype == a.dtype
+                assert joined.tobytes() == a.tobytes()
 
 
 class TestFMRefine:
