@@ -14,6 +14,13 @@ the scale work:
   CSR payload;
 * **hygiene** — no ``repro_shm_*`` segment outlives the run.
 
+After the timed runs, one more serial V-cycle runs untimed under
+``tracemalloc``; its peak (``vcycle_traced_peak_bytes``) is what the
+V-cycle allocates beside the input's CSR arrays and weights.  It is
+deterministic to a fraction of a percent, so
+``check_bench_regression.py --suite scale`` holds it to
+``TRACED_PEAK_FACTOR`` of the committed baseline.
+
 The speedup bar is *conditional on hardware*: the committed baseline
 records ``cpu_count``, and the >= 2x requirement at ``n_jobs=4`` only
 applies when at least 4 cores exist.  On a single-core box (most CI
@@ -36,6 +43,7 @@ import hashlib
 import json
 import os
 import time
+import tracemalloc
 from pathlib import Path
 
 from repro import instrument
@@ -58,6 +66,7 @@ JOBS = (1, 4)
 SPEEDUP_MIN = 2.0     # enforced when cpu_count >= 4
 PARITY_FACTOR = 1.3   # enforced instead on fewer cores
 RSS_FACTOR = 1.5      # worker peak-RSS delta vs CSR payload
+TRACED_PEAK_FACTOR = 1.05   # traced V-cycle peak vs the baseline's
 
 TITLE = "Million-pin V-cycle (planted, k=8)"
 HEADER = ["n_jobs", "seconds", "cost", "worker rss (MB)", "digest"]
@@ -73,6 +82,24 @@ def _csr_payload_bytes(graph) -> int:
     node_ptr, node_edges = graph.incidence()
     return (ptr.nbytes + pins.nbytes + node_ptr.nbytes + node_edges.nbytes
             + graph.node_weights.nbytes + graph.edge_weights.nbytes)
+
+
+def _traced_peak_bytes(graph, seed: int) -> int:
+    """``tracemalloc`` peak of one serial V-cycle over ``graph``.
+
+    The input's caches are dropped first, so the figure includes its
+    incidence and does not depend on which runs came before.
+    """
+    from repro.partitioners import multilevel_partition
+
+    graph.drop_caches()
+    tracemalloc.start()
+    try:
+        multilevel_partition(graph, K, eps=EPS, metric=Metric.CONNECTIVITY,
+                             rng=seed, n_jobs=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def run(config: dict | None = None, *, jobs=JOBS, seed=SEED,
@@ -109,6 +136,7 @@ def run(config: dict | None = None, *, jobs=JOBS, seed=SEED,
                      f"{rss / 2**20:.1f}", digest[:12]))
 
     leftovers = sorted(_shm_segments() - before_segments)
+    traced_peak = _traced_peak_bytes(graph, seed)
     planted_cost = float(cost(graph, planted, k=K,
                               metric=Metric.CONNECTIVITY))
 
@@ -125,6 +153,7 @@ def run(config: dict | None = None, *, jobs=JOBS, seed=SEED,
         "csr_payload_bytes": payload,
         "planted_cost": planted_cost,
         "parent_peak_rss_bytes": peak_rss_bytes(),
+        "vcycle_traced_peak_bytes": traced_peak,
         "runs": runs,
         "summary": {
             "identical": len({r["labels_sha256"] for r in runs}) == 1,
@@ -140,6 +169,7 @@ def run(config: dict | None = None, *, jobs=JOBS, seed=SEED,
               f"generated in {gen_s:.2f}s "
               f"(planted cost {planted_cost:.0f})")
         print_table(TITLE, HEADER, rows)
+        print(f"serial V-cycle tracemalloc peak: {traced_peak / 2**20:.1f} MB")
     return result
 
 

@@ -30,7 +30,9 @@
     peak-RSS delta < 1.5x the CSR payload, no orphaned ``/dev/shm``
     segments, and (on >= 4 cores) >= 2x single-V-cycle speedup at
     ``n_jobs=4`` — plus serial wall-clock within ``--tolerance`` of
-    the baseline.
+    the baseline, and the ``tracemalloc`` peak of one serial V-cycle
+    within 1.05x of the baseline's (``--tolerance`` does not apply:
+    the peak is deterministic).
 ``--suite sim``
     Re-runs the discrete-event simulation matrix
     (``benchmarks/bench_sim.py``) at the committed baseline's
@@ -250,8 +252,8 @@ def compare_scale(baseline: dict, fresh: dict,
 
     The absolute bars (determinism, worker RSS, shm hygiene, and the
     hardware-conditional speedup/parity bound) live in
-    ``bench_scale.check``; on top of those, the serial V-cycle time is
-    compared against the committed baseline.
+    ``bench_scale.check``; on top of those, the serial V-cycle time and
+    its traced memory peak are compared against the committed baseline.
     """
     import bench_scale
     failures = [f"acceptance bar failed: {f}"
@@ -274,6 +276,19 @@ def compare_scale(baseline: dict, fresh: dict,
         failures.append(
             f"serial V-cycle {fresh_s:.2f} s is {ratio:.2f}x the baseline "
             f"{base_s:.2f} s (> {1 + threshold:.2f}x allowed)")
+    base_peak = baseline.get("vcycle_traced_peak_bytes")
+    if base_peak:
+        fresh_peak = fresh["vcycle_traced_peak_bytes"]
+        ratio = fresh_peak / base_peak
+        over = ratio > bench_scale.TRACED_PEAK_FACTOR
+        print(f"  traced V-cycle peak: baseline {base_peak / 2**20:.1f} MB  "
+              f"now {fresh_peak / 2**20:.1f} MB  ({ratio:.3f}x) "
+              f"{'OVER' if over else 'ok'}")
+        if over:
+            failures.append(
+                f"traced V-cycle peak {fresh_peak / 2**20:.1f} MB is "
+                f"{ratio:.3f}x the baseline {base_peak / 2**20:.1f} MB "
+                f"(> {bench_scale.TRACED_PEAK_FACTOR}x allowed)")
     return failures
 
 

@@ -60,6 +60,7 @@ class Hypergraph:
         "_node_edges",
         "_degrees",
         "_retain",
+        "__weakref__",
     )
 
     def __init__(
@@ -225,6 +226,20 @@ class Hypergraph:
         if node_ptr.shape != (self.n + 1,) or node_edges.size != self.num_pins:
             raise InvalidHypergraphError("incidence arrays have wrong shape")
         self._node_ptr, self._node_edges = node_ptr, node_edges
+
+    def drop_caches(self) -> None:
+        """Forget the derived views: incidence, degrees and edge tuples.
+
+        Each is rebuilt from the CSR arrays on its next use, so this
+        only trades memory for a later rebuild.  The CSR arrays, the
+        weights and any shared-memory owner kept alive with them are
+        untouched.  The V-cycle calls it on coarse levels that wait for
+        the ascent.
+        """
+        self._edges_tup = None
+        self._node_ptr = None
+        self._node_edges = None
+        self._degrees = None
 
     # ------------------------------------------------------------------
     # Structural operations

@@ -104,13 +104,20 @@ def normalize_edges(lengths: np.ndarray, flat: np.ndarray,
     eids = np.repeat(np.arange(m, dtype=np.int64), lengths)
     if flat.size and n and m < 2**62 // n:
         # Single-key sort on the encoded (edge, pin) code — roughly 2×
-        # faster than the two-pass lexsort fallback.
-        codes = np.sort(eids * np.int64(n) + flat)
+        # faster than the two-pass lexsort fallback.  The code is built
+        # and sorted in the edge-id buffer, and the split writes the
+        # edge ids back over the kept codes, so at most two pin-sized
+        # arrays are live besides the input.
+        codes, eids = eids, None
+        codes *= n
+        codes += flat
+        codes.sort()
         keep = np.empty(codes.size, dtype=bool)
         keep[0] = True
         np.not_equal(codes[1:], codes[:-1], out=keep[1:])
         codes = codes[keep]
-        se, sp = codes // n, codes % n
+        del keep
+        se, sp = np.divmod(codes, n, out=(codes, np.empty_like(codes)))
     else:
         order = np.lexsort((flat, eids))
         se, sp = eids[order], flat[order]
@@ -214,25 +221,30 @@ def merge_parallel_csr(
     edge per distinct pin row, in order of first occurrence (matching
     the dict-based reference); ``first_ids`` are the original ids of
     the representatives.  Rows are grouped size-class by size-class:
-    pins are bit-packed into a few int64 keys, a sort brings identical
-    rows together, run boundaries delimit the groups.
+    one stable sort of the edge sizes lists each class's edges in id
+    order, their rows are gathered and bit-packed into a few int64
+    keys, a sort brings identical rows together, run boundaries delimit
+    the groups.
     """
     m = ptr.shape[0] - 1
     sizes = np.diff(ptr)
     rep = np.arange(m, dtype=np.int64)
     bits = max(1, int(pins.max()).bit_length()) if pins.size else 1
-    for s in np.unique(sizes):
-        cls = sizes == s
-        idx = np.flatnonzero(cls)
-        if idx.size <= 1:
+    by_size = np.argsort(sizes, kind="stable")
+    sorted_sizes = sizes[by_size]
+    starts = np.flatnonzero(np.r_[True, sorted_sizes[1:] != sorted_sizes[:-1]])
+    ends = np.r_[starts[1:], m]
+    for lo, hi in zip(starts.tolist(), ends.tolist()):
+        if hi - lo <= 1:
             continue
+        idx = by_size[lo:hi]
+        s = int(sorted_sizes[lo])
         if s == 0:
             rep[idx] = idx[0]
             continue
-        # rows of one size class are contiguous pin slices: a boolean
-        # gather + reshape beats a 2-D fancy index by a wide margin
-        rows = pins[np.repeat(cls, sizes)].reshape(-1, s)
+        rows = gather_rows(ptr, pins, idx)[1].reshape(-1, s)
         keys = _pack_rows(rows, bits)
+        del rows
         if len(keys) == 1:
             order = np.argsort(keys[0])
         else:
@@ -247,9 +259,13 @@ def merge_parallel_csr(
         orig = idx[order]
         group_rep = np.minimum.reduceat(orig, np.flatnonzero(bound))
         rep[orig] = group_rep[np.cumsum(bound) - 1]
-    first_ids, inv_all = np.unique(rep, return_inverse=True)
-    weights = np.bincount(inv_all, weights=np.asarray(edge_weights,
-                                                     dtype=np.float64))
+    # the representatives are exactly the edges that represent
+    # themselves; a scatter numbers them, a gather maps every edge
+    first_ids = np.flatnonzero(rep == np.arange(m, dtype=np.int64))
+    slot = np.empty(m, dtype=np.int64)
+    slot[first_ids] = np.arange(first_ids.size, dtype=np.int64)
+    weights = np.bincount(slot[rep], weights=np.asarray(edge_weights,
+                                                       dtype=np.float64))
     new_ptr, new_pins = gather_rows(ptr, pins, first_ids)
     return new_ptr, new_pins, weights, first_ids
 

@@ -254,9 +254,12 @@ def fm_refine(
     kept as a per-node shift.  Every unlocked neighbour of ``v`` is then
     pushed with the best feasible delta read from its row, and a popped
     node is re-checked the same way, against the current part weights.
-    With integer-valued weights every row stays an exact integer sum, so
-    the labels equal those of :func:`_reference_fm_refine` on both
-    metrics; with float weights near-ties may break differently.
+    Once the entries of moved nodes outnumber the others, the heap is
+    rebuilt without them; a pop would only have skipped them, so every
+    other pop is unchanged.  With integer-valued weights every row stays
+    an exact integer sum, so the labels equal those of
+    :func:`_reference_fm_refine` on both metrics; with float weights
+    near-ties may break differently.
     """
     labels, k, caps, locked_base = _prepare(graph, partition, k, eps, caps,
                                             locked, relaxed)
@@ -416,6 +419,12 @@ def fm_refine(
         heap = [(d, next(tick), v)
                 for d, v in zip(best.tolist(), free_nodes) if d < math.inf]
         heapq.heapify(heap)
+        # entries[v]: v's entries in the heap while v is unmoved; dead:
+        # the entries of moved nodes, which a pop would only skip.
+        entries = [0] * graph.n
+        for _, _, v in heap:
+            entries[v] = 1
+        dead = 0
         parts_open = open_parts()
         moves: list[tuple[int, int]] = []  # (node, previous part)
         cum = 0.0
@@ -424,18 +433,22 @@ def fm_refine(
         while heap:
             d, _, v = heapq.heappop(heap)
             if locked_now[v]:
+                dead -= 1
                 continue
+            entries[v] -= 1
             mv = target(v)
             if mv is None:
                 continue
             if gt(mv[0], d, atol=GAIN_ATOL):
                 heapq.heappush(heap, (mv[0], next(tick), v))
+                entries[v] += 1
                 continue
             d, b = mv
             moves.append((v, lab[v]))
             move(v, b)
             parts_open = open_parts()
             locked_now[v] = True
+            dead += entries[v]
             cum += d
             if (lt(cum, best_cum, atol=GAIN_ATOL)
                     and (not start_feasible or feasible())):
@@ -446,6 +459,15 @@ def fm_refine(
                     mv = target(u)
                     if mv is not None:
                         heapq.heappush(heap, (mv[0], next(tick), u))
+                        entries[u] += 1
+            if 2 * dead > len(heap):
+                # Ticks are unique, so the heap order is total and
+                # dropping dead entries changes no other pop.  Superseded
+                # entries of unmoved nodes stay: their pops are the
+                # reference's re-checks.
+                heap = [e for e in heap if not locked_now[e[2]]]
+                heapq.heapify(heap)
+                dead = 0
         # Roll back past the best prefix, then hand the result to state.
         for v, prev in reversed(moves[best_len:]):
             undo(v, prev)

@@ -197,6 +197,47 @@ def _initial_portfolio(
     return Partition(results[best][1], k)
 
 
+def _coarsen(graph, gen, coarsen_to, max_cluster, pool):
+    """The descent: contract level by level towards ``coarsen_to`` nodes.
+
+    Returns ``(levels, coarsest)``.  ``levels[i]`` is ``(fine, mapping)``
+    with ``mapping`` taking the nodes of ``fine`` to those of the next
+    coarser level; ``levels[0][0]`` is ``graph``.  Every level created
+    here is pushed with its derived caches dropped, so until the ascent
+    refines it a waiting level holds only its CSR arrays, weights and
+    mapping.  The caller's ``graph`` keeps its caches.
+    """
+    levels: list[tuple[Hypergraph, np.ndarray]] = []
+    cur = graph
+    # Per-level cluster-weight cap, ramped geometrically toward the
+    # global cap: level L's clusters stay within a slack multiple of
+    # that level's expected average weight, which keeps coarsening
+    # balanced (no snowball cluster eating its neighbourhood on the
+    # first level) while still letting deep levels merge freely.
+    level_cap = (CLUSTER_SLACK * SHRINK_TARGET
+                 * float(graph.node_weights.sum()) / max(graph.n, 1))
+    stalls = 0
+    while cur.n > coarsen_to:
+        step = subround_coarsen_step(cur, gen, min(max_cluster, level_cap),
+                                     pool=pool)
+        level_cap *= SHRINK_TARGET
+        if step is None or step[0].n >= cur.n:
+            break
+        coarse, mapping = step
+        if cur is not graph:
+            cur.drop_caches()
+        levels.append((cur, mapping))
+        stalls = stalls + 1 if coarse.n > _STALL_SHRINK * cur.n else 0
+        cur = coarse
+        instrument.bump("coarsen_levels")
+        if stalls >= 2:
+            # two near-no-op levels in a row even with the cap ramp:
+            # the structure is exhausted, and every extra level pays
+            # a refinement pass — hand over to the initial portfolio
+            break
+    return levels, cur
+
+
 def multilevel_partition(
     graph: Hypergraph,
     k: int,
@@ -257,40 +298,18 @@ def multilevel_partition(
         except WorkerPoolError:
             pool = None                 # restricted env: identical serially
     try:
-        levels: list[tuple[Hypergraph, np.ndarray]] = []
-        cur = graph
-        # Per-level cluster-weight cap, ramped geometrically toward the
-        # global cap: level L's clusters stay within a slack multiple of
-        # that level's expected average weight, which keeps coarsening
-        # balanced (no snowball cluster eating its neighbourhood on the
-        # first level) while still letting deep levels merge freely.
-        level_cap = (CLUSTER_SLACK * SHRINK_TARGET
-                     * float(graph.node_weights.sum()) / max(graph.n, 1))
-        stalls = 0
-        while cur.n > coarsen_to:
-            step = subround_coarsen_step(cur, gen,
-                                         min(max_cluster, level_cap),
-                                         pool=pool)
-            level_cap *= SHRINK_TARGET
-            if step is None or step[0].n >= cur.n:
-                break
-            coarse, mapping = step
-            levels.append((cur, mapping))
-            stalls = stalls + 1 if coarse.n > _STALL_SHRINK * cur.n else 0
-            cur = coarse
-            instrument.bump("coarsen_levels")
-            if stalls >= 2:
-                # two near-no-op levels in a row even with the cap ramp:
-                # the structure is exhausted, and every extra level pays
-                # a refinement pass — hand over to the initial portfolio
-                break
-
-        part = _initial_portfolio(cur, k, eps, metric, gen, caps,
-                                  initial_tries, n_jobs=n_jobs)
-        labels = part.labels.copy()
-        for fine, mapping in reversed(levels):
-            labels = labels[mapping]
-            labels = _refine(fine, labels, k, eps, metric, caps, pool)
+        levels, coarsest = _coarsen(graph, gen, coarsen_to, max_cluster,
+                                    pool)
+        labels = _initial_portfolio(coarsest, k, eps, metric, gen, caps,
+                                    initial_tries, n_jobs=n_jobs).labels
+        del coarsest
+        # The ascent pops each level as it projects the labels onto it,
+        # so nothing refers to the coarser level any more: it is freed
+        # before this one is refined.
+        while levels:
+            fine, mapping = levels.pop()
+            labels = _refine(fine, labels[mapping], k, eps, metric, caps,
+                             pool)
         # final safety: the flat graph has unit weights, so repair +
         # refine guarantees the returned partition honours the caps.
         labels = rebalance(graph, labels, caps)

@@ -99,6 +99,23 @@ class TestDegreesAndCSR:
         assert int(ptr[-1]) == g.num_pins == len(pins)
         assert int(g.degrees.sum()) == g.num_pins
 
+    @given(hypergraphs())
+    @settings(max_examples=30)
+    def test_drop_caches_rebuilds_same_views(self, g: Hypergraph):
+        node_ptr, node_edges = (a.copy() for a in g.incidence())
+        degrees = g.degrees.copy()
+        edges = g.edges
+        ptr, pins = g.csr()
+        g.drop_caches()
+        assert g._node_ptr is None and g._node_edges is None
+        assert g._degrees is None and g._edges_tup is None
+        assert g.csr()[0] is ptr and g.csr()[1] is pins
+        rebuilt_ptr, rebuilt_edges = g.incidence()
+        assert np.array_equal(rebuilt_ptr, node_ptr)
+        assert np.array_equal(rebuilt_edges, node_edges)
+        assert np.array_equal(g.degrees, degrees)
+        assert g.edges == edges
+
 
 class TestInducedSubgraph:
     def test_keeps_only_contained_edges(self):

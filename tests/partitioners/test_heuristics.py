@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +34,7 @@ from repro.partitioners import (
     recursive_partition,
     restrict_to_nodes,
 )
+from repro.partitioners import multilevel
 from repro.partitioners.fm import _reference_fm_refine, _State
 from repro.partitioners.greedy import _reference_greedy_sequential_partition
 from repro.partitioners.subround import subround_coarsen_step
@@ -259,6 +263,47 @@ class TestMultilevel:
         g = random_hypergraph(10, 8, rng=rng)
         p = multilevel_partition(g, 2, eps=0.5, rng=0)
         assert is_balanced(p, 0.5, relaxed=True)
+
+    def test_level_lifecycle(self, monkeypatch):
+        """While the ascent refines a level, every coarser level is
+        freed and every finer level still waiting holds no cached
+        incidence; the caller's graph keeps its caches."""
+        g, _ = planted_partition_hypergraph(2000, 4, 5000, 6, rng=3)
+        made = []       # weakrefs to the coarse graphs, finest first
+        coarsen = multilevel.subround_coarsen_step
+        refine = multilevel._refine
+
+        def tracked_coarsen(*args, **kwargs):
+            step = coarsen(*args, **kwargs)
+            if step is not None:
+                made.append(weakref.ref(step[0]))
+            return step
+
+        refined = []    # depth of each refined graph (0 = the input)
+
+        def checked_refine(graph, *args, **kwargs):
+            gc.collect()
+            depth = 0 if graph is g else 1 + next(
+                i for i, ref in enumerate(made) if ref() is graph)
+            assert all(ref() is None for ref in made[depth:])
+            for ref in made[:max(depth - 1, 0)]:
+                waiting = ref()
+                assert waiting is not None
+                assert waiting._node_ptr is None
+                assert waiting._node_edges is None
+                assert waiting._degrees is None
+            refined.append(depth)
+            return refine(graph, *args, **kwargs)
+
+        monkeypatch.setattr(multilevel, "subround_coarsen_step",
+                            tracked_coarsen)
+        monkeypatch.setattr(multilevel, "_refine", checked_refine)
+        p = multilevel_partition(g, 4, eps=0.05, rng=1, n_jobs=1)
+        assert is_balanced(p, 0.05, relaxed=True)
+        depths = sorted(set(refined))
+        assert len(depths) >= 5         # the input and at least 4 levels
+        assert depths == list(range(len(depths)))
+        assert g._node_ptr is not None and g._node_edges is not None
 
 
 class TestRecursive:
