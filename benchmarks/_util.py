@@ -7,27 +7,6 @@ from typing import Any, Sequence
 from repro.lab.report import format_table
 
 
-def peak_rss_bytes() -> int:
-    """This process's lifetime peak RSS (VmHWM) in bytes; 0 if unreadable.
-
-    Shared across suites so every BENCH_*.json reports memory the same
-    way.  Note VmHWM is a high-water mark: it never decreases, so
-    per-phase numbers must be reported as deltas over a baseline read.
-    """
-    try:
-        with open("/proc/self/status") as fh:
-            for line in fh:
-                if line.startswith("VmHWM:"):
-                    return int(line.split()[1]) * 1024
-    except (OSError, ValueError, IndexError):
-        pass
-    try:
-        import resource
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-    except (ImportError, OSError, ValueError):
-        return 0
-
-
 def print_table(title: str, header: Sequence[str],
                 rows: Sequence[Sequence[Any]]) -> list[dict]:
     """Print an experiment's result series in a paper-style table.

@@ -48,9 +48,10 @@ from pathlib import Path
 
 from repro import instrument
 from repro.core import Metric, cost
+from repro.core.workers import peak_rss_bytes
 from repro.generators import streaming_planted_hypergraph
 
-from _util import peak_rss_bytes, print_table
+from _util import print_table
 
 BASELINE = Path(__file__).resolve().parent / "BENCH_scale.json"
 

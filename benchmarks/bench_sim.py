@@ -30,10 +30,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from repro.core import Metric
+from repro.core.workers import fork_map
 from repro.generators import make_workload
 from repro.hierarchy.topology import HierarchyTopology
 from repro.sim import DurationSpec, SimPlan, simulate
@@ -143,11 +143,7 @@ def run(cfg: dict | None = None, *, jobs: int = 1,
     """Execute the matrix; result is independent of ``jobs``."""
     cfg = cfg or _config(smoke=False)
     groups = _groups(cfg)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_group = list(pool.map(_run_group, groups))
-    else:
-        per_group = [_run_group(g) for g in groups]
+    per_group = fork_map(_run_group, [(g,) for g in groups], jobs)
     cells = [c for group in per_group for c in group]
     canonical = json.dumps(cells, sort_keys=True,
                            separators=(",", ":"))

@@ -16,8 +16,9 @@ Resolution handles the edge cases the test-suite pins down:
 chains, method calls on locals whose class is known by construction
 (``g = Hypergraph(...); g.csr()``), module cycles (the summary join is
 not an import, so cycles cost nothing), and dynamic registry dispatch
-(lab ``ExperimentSpec`` registrations and ``Process(target=...)``
-worker spawns are surfaced as entrypoints rather than call edges).
+(lab ``ExperimentSpec`` registrations, ``Process(target=...)`` worker
+spawns and the targets of :mod:`repro.core.workers` spawners are
+surfaced as entrypoints rather than call edges).
 """
 
 from __future__ import annotations
@@ -118,11 +119,16 @@ class CallGraph:
                 seen.add(key)
                 yield node, label, list(reg.get("tags") or [])
 
-    def worker_entrypoints(self) -> Iterable[tuple[str, str]]:
-        """``(node, label)`` for every ``Process(target=...)`` spawn."""
+    def worker_entrypoints(self, spawned: bool = True
+                           ) -> Iterable[tuple[str, str]]:
+        """``(node, label)`` for every ``Process(target=...)`` spawn and,
+        with ``spawned``, every function a :mod:`repro.core.workers`
+        spawner runs in a child."""
         seen: set[str] = set()
         for s in self.index.summaries:
-            for tgt in s.process_targets:
+            targets = s.process_targets + (s.spawn_targets if spawned
+                                           else [])
+            for tgt in targets:
                 node = self.resolve_function(tgt)
                 if node is None or node in seen:
                     continue

@@ -34,11 +34,12 @@ Collected facts (one dict, see ``collect_concurrency``):
     executor (``a if p else b``) records nothing — the pass stays
     silent rather than guessing;
 ``spawns``
-    ``Process(target=...)`` call sites with the dotted roots of every
-    argument expression, so the fork-hygiene pass can see a live lock
-    or executor crossing the fork boundary;
+    ``Process(target=...)`` and :data:`~repro.analyze.index.SPAWNERS`
+    call sites with the dotted roots of every argument expression but
+    the target, so the fork-hygiene pass can see a live lock or
+    executor crossing the fork boundary;
 ``resets``
-    lines where :func:`repro.lab.executor.reset_inherited_signals` is
+    lines where :func:`repro.core.workers.reset_inherited_signals` is
     called, per function;
 ``ipc_unguarded``
     per function, IPC touches (pipe/queue method calls) *not
@@ -62,6 +63,7 @@ import ast
 from .absint import solve
 from .cfg import build_cfg
 from .engine import SourceFile
+from .index import SPAWNERS
 
 __all__ = ["collect_concurrency"]
 
@@ -293,31 +295,30 @@ class _Collector:
                     if key is not None:
                         self.facts["submits"].append(
                             [qual, sub.lineno, key])
-            if _dotted(func).rpartition(".")[2] == "Process":
-                target = ""
-                argroots: list[str] = []
-                for kw in sub.keywords:
-                    if kw.arg == "target":
-                        target = (self.ex.resolve(_dotted(kw.value))
-                                  or _dotted(kw.value))
+            dotted = _dotted(func)
+            if dotted.rpartition(".")[2] == "Process":
                 operands = list(sub.args) + [kw.value for kw in sub.keywords
                                              if kw.arg != "target"]
-                for arg in operands:
-                    for n in _expr_walk([arg]):
-                        d = _dotted(n)
-                        if d:
-                            argroots.append(d)
-                # _expr_walk yields sub-chains too ("self" under
-                # "self._lock"): keep only maximal dotted names, first
-                # seen (source) order, for stable messages
-                maximal = [d for d in argroots
-                           if not any(o != d and o.startswith(d + ".")
-                                      for o in argroots)]
-                seen: set[str] = set()
-                argroots = [d for d in maximal
-                            if not (d in seen or seen.add(d))]
-                self.facts["spawns"].append(
-                    [qual, sub.lineno, target, argroots])
+            elif self.ex.resolve(dotted) in SPAWNERS and sub.args:
+                operands = sub.args[1:] + [kw.value for kw in sub.keywords]
+            else:
+                continue
+            argroots: list[str] = []
+            for arg in operands:
+                for n in _expr_walk([arg]):
+                    d = _dotted(n)
+                    if d:
+                        argroots.append(d)
+            # _expr_walk yields sub-chains too ("self" under
+            # "self._lock"): keep only maximal dotted names, first
+            # seen (source) order, for stable messages
+            maximal = [d for d in argroots
+                       if not any(o != d and o.startswith(d + ".")
+                                  for o in argroots)]
+            seen: set[str] = set()
+            argroots = [d for d in maximal
+                        if not (d in seen or seen.add(d))]
+            self.facts["spawns"].append([qual, sub.lineno, argroots])
 
     # -- phase 3: reset-dominates-IPC (CFG must-analysis) ---------------
 

@@ -339,47 +339,27 @@ def _read_bytes(path: Path) -> bytes | None:
         return None
 
 
-def _extract_worker(item: tuple[str, bytes]) -> dict | None:
-    """Process-pool stage-1 worker: bytes in, summary JSON dict out.
-
-    Module-level (picklable) on purpose; returns the serialised form so
-    the parent deserialises through the exact round-trip the cache
-    uses, keeping parallel output structurally identical to serial.
-    """
+def _extract_worker(path: Path, raw: bytes) -> dict | None:
+    """Stage-1 worker: bytes in, summary JSON dict out."""
     from .index import extract_summary, load_source
 
-    path_str, raw = item
-    sf = load_source(Path(path_str), raw)
+    sf = load_source(path, raw)
     if sf is None:
         return None
     return extract_summary(sf).to_json()
 
 
 def _extract_many(items: list[tuple[Path, bytes]], jobs: int) -> list:
-    """Summaries for ``items`` in order; workers when ``jobs > 1``."""
-    from .index import ModuleSummary, extract_summary, load_source
+    """Summaries for ``items`` in order, over ``jobs`` forked workers.
 
-    payload = [(p.as_posix(), raw) for (p, raw) in items]
-    if jobs > 1 and len(payload) > 1:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
+    Every summary, serial or not, goes through the JSON form the cache
+    uses, so the output does not depend on ``jobs``.
+    """
+    from ..core.workers import fork_map
+    from .index import ModuleSummary
 
-            chunk = max(1, len(payload) // (4 * jobs))
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                dicts = list(pool.map(_extract_worker, payload,
-                                      chunksize=chunk))
-            return [None if d is None else ModuleSummary.from_json(d)
-                    for d in dicts]
-        except (OSError, RuntimeError, ImportError):
-            # Pool could not start (sandboxed fork, missing sem support,
-            # BrokenProcessPool): degrade to the serial path below —
-            # same summaries, just slower.
-            pass
-    out = []
-    for path_str, raw in payload:
-        sf = load_source(Path(path_str), raw)
-        out.append(None if sf is None else extract_summary(sf))
-    return out
+    return [None if d is None else ModuleSummary.from_json(d)
+            for d in fork_map(_extract_worker, items, jobs)]
 
 
 def _filter_changed(report: AnalysisReport, index, root,

@@ -54,13 +54,19 @@ __all__ = [
 ]
 
 #: Bump to invalidate every cached summary (rule/pass/format changes).
-ENGINE_VERSION = "analyze-v4.0"
+ENGINE_VERSION = "analyze-v4.1"
 
 #: Constructors whose result is an explicit, caller-owned Generator.
 RNG_CONSTRUCTORS = {"numpy.random.default_rng", "numpy.random.Generator"}
 
 #: Parameter names conventionally carrying a Generator (or seed).
 RNG_PARAM_NAMES = {"rng", "gen", "generator", "random_state"}
+
+#: The process-starting entry points of :mod:`repro.core.workers`; each
+#: runs its first argument in a forked child.
+SPAWNERS = frozenset({"repro.core.workers.start",
+                      "repro.core.workers.Workers",
+                      "repro.core.workers.fork_map"})
 
 #: Method names that mutate their receiver in place.  Applied only when
 #: the receiver resolves to module-level state (this module's globals
@@ -127,6 +133,8 @@ class ModuleSummary:
     calls: dict = field(default_factory=dict)          # qual -> [[line, resolved, written]]
     global_writes: dict = field(default_factory=dict)  # qual -> [[line, name]]
     process_targets: list = field(default_factory=list)
+    #: first arguments of :data:`SPAWNERS` calls
+    spawn_targets: list = field(default_factory=list)
     rng_globals: list = field(default_factory=list)
     rng_draws: dict = field(default_factory=dict)      # qual -> [[line, kind, detail]]
     registrations: list = field(default_factory=list)
@@ -168,6 +176,7 @@ class ModuleSummary:
             "imports": self.imports, "calls": self.calls,
             "global_writes": self.global_writes,
             "process_targets": self.process_targets,
+            "spawn_targets": self.spawn_targets,
             "rng_globals": self.rng_globals, "rng_draws": self.rng_draws,
             "registrations": self.registrations,
             "referenced_names": self.referenced_names,
@@ -184,7 +193,8 @@ class ModuleSummary:
         kwargs = {k: data[k] for k in (
             "path", "module", "in_src", "in_tests", "is_init", "functions",
             "classes", "imports", "calls", "global_writes",
-            "process_targets", "rng_globals", "rng_draws", "registrations",
+            "process_targets", "spawn_targets", "rng_globals", "rng_draws",
+            "registrations",
             "referenced_names", "local_findings", "path_findings",
             "concurrency", "pragmas")}
         return cls(**kwargs)
@@ -560,6 +570,11 @@ class Extractor:
             return "builtins.open", written
         return resolved, written
 
+    def _resolve_function_arg(self, expr: ast.AST,
+                              ctx: _FnCtx) -> str | None:
+        tgt, _w = self._resolve_call_target(expr, ctx)
+        return tgt if tgt is not None else self.resolve(_dotted(expr))
+
     def _collect_call(self, node: ast.Call, ctx: _FnCtx) -> None:
         resolved, written = self._resolve_call_target(node.func, ctx)
         self._record_call(node.lineno, resolved, written, ctx)
@@ -568,16 +583,19 @@ class Extractor:
         if written.endswith(".csr"):
             ctx.consumes_csr = True
 
-        # Worker entrypoints: Process(target=fn) registers fn.
+        # Worker entrypoints: Process(target=fn) registers fn, and so
+        # does the first argument of a repro.core.workers spawner.
         tail = written.rpartition(".")[2]
         if tail == "Process":
             for kw in node.keywords:
                 if kw.arg == "target":
-                    tgt, _w = self._resolve_call_target(kw.value, ctx)
-                    if tgt is None:
-                        tgt = self.resolve(_dotted(kw.value))
+                    tgt = self._resolve_function_arg(kw.value, ctx)
                     if tgt is not None:
                         self.summary.process_targets.append(tgt)
+        elif resolved in SPAWNERS and node.args:
+            tgt = self._resolve_function_arg(node.args[0], ctx)
+            if tgt is not None:
+                self.summary.spawn_targets.append(tgt)
 
         # Mutating method on module-level state (fork-safety fact).
         if (isinstance(node.func, ast.Attribute)
@@ -620,9 +638,7 @@ class Extractor:
             # Cls) makes every method of Cls reachable by name at
             # simulate time (CallGraph.sim_entrypoints).
             name_arg = node.args[0]
-            tgt, _w = self._resolve_call_target(node.args[1], ctx)
-            if tgt is None:
-                tgt = self.resolve(_dotted(node.args[1]))
+            tgt = self._resolve_function_arg(node.args[1], ctx)
             self.summary.registrations.append({
                 "kind": "sim-scheduler",
                 "name": (name_arg.value

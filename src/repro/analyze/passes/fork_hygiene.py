@@ -4,9 +4,9 @@ The worst chaos-run bug of the mesh era: a forked sub-round worker
 inherited the parent's signal handlers, and the first stray ``SIGCHLD``
 wrote into the *parent's* wakeup fd through the still-open inherited
 descriptor — poisoning the parent event loop from a child process.
-The fix is mechanical (``lab.executor.reset_inherited_signals`` first
-thing in every worker entrypoint) but was applied ad hoc; this pass
-generalises it:
+The fix is mechanical (``core.workers.reset_inherited_signals`` first
+thing in every worker) and now lives in one place, the bootstrap of
+:func:`repro.core.workers.start`; this pass keeps it there:
 
 1. **reset-before-IPC** — every ``Process(target=...)`` entrypoint in
    the call graph must call ``reset_inherited_signals`` *before* any
@@ -15,12 +15,13 @@ generalises it:
    (:mod:`repro.analyze.concurrency`, ``ipc_unguarded``); here those
    latent facts are consulted only for functions that actually are
    fork entrypoints, so a module may contain ordinary helpers using
-   pipes freely.
-2. **no live inheritance** — a ``Process(...)`` call whose arguments
-   carry a known lock or executor hands the child a copy of live
-   synchronisation state: a ``threading.Lock`` held at fork time stays
-   locked *forever* in the child, and an executor's worker threads
-   simply do not exist there.  Loops and module-global mutation are
+   pipes freely.  Targets of ``core.workers`` spawners are exempt:
+   their ``Process`` entrypoint is the primitive's resetting bootstrap.
+2. **no live inheritance** — a ``Process(...)`` or spawner call whose
+   arguments carry a known lock or executor hands the child a copy of
+   live synchronisation state: a ``threading.Lock`` held at fork time
+   stays locked *forever* in the child, and an executor's worker
+   threads simply do not exist there.  Loops and module-global mutation are
    ``fork-safety``'s business already and are not re-flagged here.
 
 Both checks consume extract-time facts only, so they replay byte-
@@ -42,7 +43,7 @@ RULE = "fork-hygiene"
 
 def run(index: ModuleIndex, graph: CallGraph) -> Iterable[Finding]:
     # -- 1: worker entrypoints must reset signals before IPC ------------
-    for node, label in sorted(graph.worker_entrypoints()):
+    for node, label in sorted(graph.worker_entrypoints(spawned=False)):
         owner = graph.owner.get(node)
         if owner is None or not owner.in_src or not owner.concurrency:
             continue
@@ -65,7 +66,7 @@ def run(index: ModuleIndex, graph: CallGraph) -> Iterable[Finding]:
                         f"IPC ('{api}') {why}: inherited signal "
                         "handlers can fire during the touch and write "
                         "into the parent's wakeup fd; call "
-                        "lab.executor.reset_inherited_signals first "
+                        "core.workers.reset_inherited_signals first "
                         "on every path",
                 flow=(
                     (owner.path, def_line,
@@ -74,14 +75,13 @@ def run(index: ModuleIndex, graph: CallGraph) -> Iterable[Finding]:
                      f"IPC touch '{api}' with inherited signal state"),
                 ))
 
-    # -- 2: Process(...) arguments must not carry live locks/executors --
+    # -- 2: spawn arguments must not carry live locks/executors --------
     for s in index.summaries:
         if not s.in_src or not s.concurrency:
             continue
         lock_keys = {key for _, key, _ in s.concurrency.get("locks", ())}
         exec_keys = {key for _, key in s.concurrency.get("executors", ())}
-        for qual, line, target, argroots in s.concurrency.get(
-                "spawns", ()):
+        for qual, line, argroots in s.concurrency.get("spawns", ()):
             cls = qual.partition(".")[0] if "." in qual else ""
             for root in argroots:
                 if root.startswith("self."):
@@ -96,7 +96,7 @@ def run(index: ModuleIndex, graph: CallGraph) -> Iterable[Finding]:
                     continue
                 yield Finding(
                     path=s.path, line=int(line), rule=RULE,
-                    message=f"Process(...) in {qual} passes live "
+                    message=f"a process spawn in {qual} passes live "
                             f"{kind} '{s.module}.{key}' (as '{root}') "
                             "across the fork boundary: the child "
                             f"inherits a copy of the {kind}'s state "

@@ -14,7 +14,7 @@ segment is out of scope exactly as before):
 
 * ``SharedArrays.create`` / ``SharedCSR.from_hypergraph`` /
   ``SharedMemory(create=True)`` — POSIX shared memory;
-* ``RoundPool(...)`` — forked sub-round worker pools;
+* ``RoundPool(...)`` / ``Workers(...)`` — forked worker pools;
 * builtin ``open(...)`` — file handles;
 * ``socket.socket(...)`` — sockets.
 
@@ -99,7 +99,7 @@ def _acquisition(call: ast.Call) -> tuple[str, str] | None:
                for kw in call.keywords):
             return "shared-memory segment", dotted
         return None
-    if last == "RoundPool":
+    if last in ("RoundPool", "Workers"):
         return "worker pool", dotted
     if dotted == "open":
         return "file handle", dotted

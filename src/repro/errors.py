@@ -73,8 +73,8 @@ class ServeClientError(ServeError):
 
 
 class WorkerPoolError(ReproError):
-    """Raised by :mod:`repro.partitioners.subround` when the persistent
-    worker pool cannot be started or a worker fails mid-stage."""
+    """Raised by :mod:`repro.core.workers` when worker processes cannot
+    be started here, and by its users when a worker fails mid-task."""
 
 
 class SharedMemoryError(ReproError):

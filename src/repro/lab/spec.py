@@ -5,7 +5,7 @@ EXPERIMENTS.md row: which callable produces the result rows, with which
 parameters and seeds, under which timeout, and how to verify the rows
 against the paper's claim.  Specs never hold code — they *name* a
 module and function, so a spec (and therefore a task) is a plain
-picklable value that travels to worker processes as strings.
+value that a forked worker resolves by name.
 
 Runner contract
 ---------------

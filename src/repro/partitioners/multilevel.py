@@ -7,15 +7,13 @@ refinement is applied while uncoarsening (the n-level/multilevel scheme
 of [28, 45]).
 
 Independent work — the V-cycle ``repetitions`` and the candidates of the
-initial portfolio — can execute in parallel worker processes via
-``n_jobs``; per-task seeds are drawn up-front from the caller's RNG so
-the result is identical for every ``n_jobs`` given a fixed seed.
+initial portfolio — can execute in forked worker processes via
+``n_jobs`` (:func:`~repro.core.workers.fork_map`); per-task seeds are
+drawn up-front from the caller's RNG so the result is identical for
+every ``n_jobs`` given a fixed seed.
 """
 
 from __future__ import annotations
-
-import multiprocessing as mp
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -24,8 +22,8 @@ from ..analyze import sanitize
 from ..core.cost import Metric, cost
 from ..core.hypergraph import Hypergraph
 from ..core.partition import Partition
-from ..core.shm import SharedCSR
-from ..errors import ReproError, SharedMemoryError, WorkerPoolError
+from ..core.workers import fork_map
+from ..errors import ReproError, WorkerPoolError
 from .base import rebalance, weight_caps
 from .fm import fm_refine
 from .greedy import bfs_growth_partition, greedy_sequential_partition
@@ -43,19 +41,14 @@ __all__ = ["multilevel_partition"]
 
 _SEED_BOUND = 2**62
 
-# Measured on the reference container (fork start method): creating and
-# tearing down a ProcessPoolExecutor costs ~8 ms, while one solver task
-# runs ~14 ms at ~600 pins (coarsest-level portfolio candidate) and
-# scales roughly linearly above that.  Parallel dispatch therefore only
-# recoups its overhead once per-task work reaches tens of milliseconds
-# — i.e. a few thousand pins — so below this cutoff ``_run_tasks``
-# stays in-process (results are order-identical either way).
+# One solver task runs ~14 ms at ~600 pins (coarsest-level portfolio
+# candidate) and scales roughly linearly above that, while one
+# ``fork_map`` call forking and reaping two workers costs ~1.5 ms (four
+# trivial tasks, 2-CPU host).  Parallel dispatch therefore only recoups
+# its overhead once per-task work reaches tens of milliseconds — i.e. a
+# few thousand pins — so below this cutoff ``_run_tasks`` stays
+# in-process (results are order-identical either way).
 _PARALLEL_MIN_PINS = 4096
-
-# Ship the hypergraph to repetition workers through shared memory once
-# it is big enough that per-worker pickling dominates; below this the
-# pickle is a handful of pages and the segment setup isn't worth it.
-_SHM_HANDOFF_MIN_PINS = 32_768
 
 # Levels at or above this node count refine with the synchronous
 # sub-round FM (vectorised rounds, O(pins) per round, parallelisable);
@@ -94,31 +87,21 @@ def _run_tasks(fn, argtuples, n_jobs: int, est_pins: int | None = None) -> list:
     """Map ``fn`` over argument tuples, in-process or via worker processes.
 
     Results come back in submission order, so parallel and serial
-    execution select the same winner.  Falls back to serial execution if
-    a worker pool cannot be created (restricted environments), and stays
-    serial outright when ``est_pins`` (per-task problem size) is below
-    ``_PARALLEL_MIN_PINS`` — pool spawn overhead would dominate such
-    tasks (see the cutoff's measurement note above).
+    execution select the same winner.  :func:`fork_map` runs serially
+    where workers cannot start (restricted environments, or inside a
+    worker); this stays serial outright when ``est_pins`` (per-task
+    problem size) is below ``_PARALLEL_MIN_PINS`` — fork overhead would
+    dominate such tasks (see the cutoff's note above).
     """
-    if n_jobs <= 1 or len(argtuples) <= 1:
-        return [fn(*args) for args in argtuples]
     if est_pins is not None and est_pins < _PARALLEL_MIN_PINS:
-        return [fn(*args) for args in argtuples]
-    try:
-        methods = mp.get_all_start_methods()
-        ctx = mp.get_context("fork" if "fork" in methods else methods[0])
-        with ProcessPoolExecutor(max_workers=min(n_jobs, len(argtuples)),
-                                 mp_context=ctx) as pool:
-            return list(pool.map(fn, *zip(*argtuples)))
-    except (OSError, PermissionError, ValueError):
-        return [fn(*args) for args in argtuples]
+        n_jobs = 1
+    return fork_map(fn, argtuples, n_jobs)
 
 
 def _portfolio_candidate(graph, k, eps, metric, caps, kind, seed):
     """Build one constructive candidate, repair balance, FM-refine it.
 
     Returns ``(cost, labels)`` or ``None`` when construction fails.
-    Top-level function so it pickles into worker processes.
     """
     rng = np.random.default_rng(seed)
     try:
@@ -145,29 +128,13 @@ def _portfolio_candidate(graph, k, eps, metric, caps, kind, seed):
 
 def _single_vcycle(graph, k, eps, metric, seed, coarsen_to, initial_tries,
                    relaxed):
-    """One seeded V-cycle; returns ``(cost, labels)``.  Picklable."""
+    """One seeded V-cycle; returns ``(cost, labels)``."""
     part = multilevel_partition(graph, k, eps, metric,
                                 rng=np.random.default_rng(seed),
                                 coarsen_to=coarsen_to,
                                 initial_tries=initial_tries,
                                 relaxed=relaxed, repetitions=1, n_jobs=1)
     return float(cost(graph, part, metric)), part.labels
-
-
-def _single_vcycle_shm(descriptor, k, eps, metric, seed, coarsen_to,
-                       initial_tries, relaxed):
-    """`_single_vcycle` over a shared-memory CSR descriptor.
-
-    What pickles into the worker is the ~100-byte descriptor; the
-    worker attaches by name and runs over zero-copy views, so its
-    private RSS stays a small constant regardless of instance size.
-    """
-    shared = SharedCSR.attach(descriptor)
-    try:
-        return _single_vcycle(shared.hypergraph(), k, eps, metric, seed,
-                              coarsen_to, initial_tries, relaxed)
-    finally:
-        shared.close()
 
 
 def _initial_portfolio(
@@ -265,24 +232,10 @@ def multilevel_partition(
     if repetitions > 1:
         seeds = gen.integers(0, _SEED_BOUND, size=repetitions)
         tail = (coarsen_to, initial_tries, relaxed)
-        shared = None
-        if n_jobs > 1 and graph.num_pins >= _SHM_HANDOFF_MIN_PINS:
-            try:
-                shared = SharedCSR.from_hypergraph(graph)
-            except SharedMemoryError:
-                shared = None           # no /dev/shm: pickle as before
-        if shared is not None:
-            with shared:
-                descriptor = shared.descriptor()
-                args = [(descriptor, k, eps, metric, int(seed), *tail)
-                        for seed in seeds]
-                results = _run_tasks(_single_vcycle_shm, args, n_jobs,
-                                     est_pins=graph.num_pins)
-        else:
-            args = [(graph, k, eps, metric, int(seed), *tail)
-                    for seed in seeds]
-            results = _run_tasks(_single_vcycle, args, n_jobs,
-                                 est_pins=graph.num_pins)
+        # forked workers inherit the graph: nothing is copied to them
+        args = [(graph, k, eps, metric, int(seed), *tail) for seed in seeds]
+        results = _run_tasks(_single_vcycle, args, n_jobs,
+                             est_pins=graph.num_pins)
         best = min(range(len(results)), key=lambda i: results[i][0])
         return Partition(results[best][1], k)
     if coarsen_to is None:

@@ -29,7 +29,6 @@ node-id chunks over the pipe — never a pickled hypergraph.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import traceback
 
 import numpy as np
@@ -41,8 +40,8 @@ from ..core.cost import Metric
 from ..core.hypergraph import Hypergraph
 from ..core.partition import Partition
 from ..core.shm import SharedArrays, SharedCSR
+from ..core.workers import Workers, peak_rss_bytes
 from ..errors import WorkerPoolError
-from ..lab.executor import reset_inherited_signals
 
 __all__ = ["RoundPool", "subround_coarsen_step", "subround_fm_refine"]
 
@@ -332,22 +331,6 @@ def _reference_stage_fm_gain(view: _LevelView, chunk: np.ndarray,
 # Worker pool — forked once per V-cycle, fed node-id chunks by name.
 # ---------------------------------------------------------------------------
 
-def _vm_hwm_bytes() -> int:
-    """This process's peak RSS (VmHWM) in bytes; 0 if unreadable."""
-    try:
-        with open("/proc/self/status") as fh:
-            for line in fh:
-                if line.startswith("VmHWM:"):
-                    return int(line.split()[1]) * 1024
-    except (OSError, ValueError, IndexError):
-        pass
-    try:
-        import resource
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-    except (ImportError, OSError, ValueError):
-        return 0
-
-
 def _attach_view(cache: dict, gdesc: dict, sdesc: dict) -> _LevelView:
     """Materialise a :class:`_LevelView` from descriptors, via the cache.
 
@@ -371,25 +354,19 @@ def _attach_view(cache: dict, gdesc: dict, sdesc: dict) -> _LevelView:
                       shared_graph["edge_weights"], state)
 
 
-def _pool_worker_main(conn, inherited_conns=()) -> None:
+def _pool_worker_main(conn) -> None:
     """Worker loop: attach-by-name, run pure stages, report peak RSS.
 
-    ``inherited_conns`` are the parent-side pipe ends this fork copied
-    (its own pipe's parent end plus those of earlier workers).  They
-    must be closed here: a worker holding its own peer end would never
-    see EOF after a parent SIGKILL, so it would block in ``recv``
-    forever — keeping the resource tracker's pipe open and the shared
-    segments orphaned (the kill-mid-run test pins this down).
+    A parent SIGKILL reaches the worker as EOF (:class:`Workers` closes
+    the parent-side ends it inherited), so it exits and the resource
+    tracker unlinks the segments (the kill-mid-run test pins this down).
 
     The RSS *delta* over the post-fork baseline is what the scale bench
     gates on: attached shared pages are counted once system-wide, so a
     worker that never copies the hypergraph stays well under the
     1.5x-payload budget even on million-pin levels.
     """
-    reset_inherited_signals()
-    for inherited in inherited_conns:
-        inherited.close()
-    base_rss = _vm_hwm_bytes()
+    base_rss = peak_rss_bytes()
     cache: dict = {}
     try:
         while True:
@@ -408,7 +385,7 @@ def _pool_worker_main(conn, inherited_conns=()) -> None:
                             handle.close()
                     conn.send(("ok", None))
                 elif kind == "stats":
-                    delta = max(0, _vm_hwm_bytes() - base_rss)
+                    delta = max(0, peak_rss_bytes() - base_rss)
                     conn.send(("ok", {"rss_delta_bytes": delta}))
                 elif kind == "stage":
                     stage, gdesc, sdesc, chunk, extra = msg[1:]
@@ -435,30 +412,9 @@ class RoundPool:
     """
 
     def __init__(self, n_jobs: int) -> None:
-        self._pipes: list = []
-        self._procs: list = []
         self._stats: list[dict] = []
-        if "fork" not in mp.get_all_start_methods():
-            raise WorkerPoolError(
-                "RoundPool needs the fork start method (POSIX only)")
-        ctx = mp.get_context("fork")
-        try:
-            for _ in range(max(1, int(n_jobs))):
-                parent_conn, child_conn = ctx.Pipe()
-                # the fork inherits every parent-side end created so far
-                # (including this pipe's own); hand them over so the
-                # child closes them, or post-SIGKILL EOF never arrives
-                proc = ctx.Process(target=_pool_worker_main,
-                                   args=(child_conn,
-                                         [*self._pipes, parent_conn]),
-                                   daemon=True)
-                proc.start()
-                child_conn.close()
-                self._pipes.append(parent_conn)
-                self._procs.append(proc)
-        except (OSError, PermissionError, ValueError) as exc:
-            self.close()
-            raise WorkerPoolError(f"cannot start worker pool: {exc}") from exc
+        self._workers = Workers(_pool_worker_main, n_jobs)
+        self._pipes = self._workers.conns
 
     @property
     def size(self) -> int:
@@ -528,19 +484,10 @@ class RoundPool:
         for pipe in self._pipes:
             try:
                 pipe.send(("exit",))
-            except (OSError, BrokenPipeError):
-                pass
-            try:
-                pipe.close()
             except OSError:
                 pass
-        for proc in self._procs:
-            proc.join(timeout=5)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=1)
+        self._workers.close()
         self._pipes = []
-        self._procs = []
 
     def __enter__(self) -> "RoundPool":
         return self

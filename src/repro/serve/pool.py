@@ -4,8 +4,9 @@ One dispatch = one worker process running a *batch* of jobs
 sequentially (earliest deadline first) and writing one result file per
 job, atomically, straight into the content-addressed cache — the same
 filesystem worker protocol as :mod:`repro.lab.executor`, whose
-``mp_context`` / ``terminate_process`` / ``atomic_write_json``
-primitives this module reuses.  The consequences are load-bearing:
+``write_result`` / ``read_result`` this module reuses, started and
+stopped through :mod:`repro.core.workers`.  The consequences are
+load-bearing:
 
 * **amortised overhead** — process start + poll rounding costs are paid
   once per batch, not once per job, which is where the batched
@@ -26,19 +27,14 @@ primitives this module reuses.  The consequences are load-bearing:
 from __future__ import annotations
 
 import asyncio
-import os
-import signal
 import time
-import traceback
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .. import instrument
+from ..core.workers import start, stop
 from ..errors import ReproError, SharedMemoryError
-from ..lab.cache import atomic_write_json
-from ..lab.executor import (INHERITED_SIGNALS, mp_context, reap_process,
-                            reset_inherited_signals, terminate_process)
+from ..lab.executor import read_result, write_result
 
 __all__ = ["BatchMember", "MemberOutcome", "run_batch"]
 
@@ -79,49 +75,25 @@ class MemberOutcome:
 # Worker side
 # ---------------------------------------------------------------------------
 
-def _batch_main(payload: dict) -> None:
+def _batch_main(members: Sequence[BatchMember],
+                params: Sequence[Mapping], debug_slow_s: float) -> None:
     """Run every job in the batch; one atomic result file per job.
 
     A job that raises writes its traceback to the job's error file and
     the loop continues — per-job failure containment *inside* a batch.
     The solver import happens here (worker side) so a fork-started
-    child reuses the parent's warm modules — after the signal reset,
-    which must come first (see ``run_batch``).
+    child reuses the parent's warm modules.
     """
-    reset_inherited_signals()
     from .runner import solve
 
-    debug_slow_s = float(payload.get("debug_slow_s", 0.0))
-    for job in payload["jobs"]:
-        out = Path(job["outfile"])
-        err = Path(job["errfile"])
-        try:
-            if debug_slow_s > 0:
-                # mesh chaos harness only: manufactures a slow shard so
-                # hedging has something to beat; plumbed through config,
-                # never read from the environment (determinism pass)
-                time.sleep(debug_slow_s)
-            instrument.reset()
-            t0 = time.perf_counter()
-            result = solve(seed=job["seed"], **job["params"])
-            duration = time.perf_counter() - t0
-            try:
-                import resource
-                rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-            except Exception:  # analyze: allow(silent-except) — best-effort metric: resource is POSIX-only and a metrics failure must never fail a finished job
-                rss_kb = 0
-            atomic_write_json(out, {
-                "values": result,
-                "duration_s": round(duration, 6),
-                "peak_rss_kb": int(rss_kb),
-                "counters": instrument.snapshot(),
-            })
-        except BaseException:
-            try:
-                atomic_write_json(err, {"error": traceback.format_exc()})
-            except BaseException:  # analyze: allow(silent-except) — the error channel itself failed (disk full / kill); exiting nonzero is the only signal left
-                os._exit(1)
-    os._exit(0)
+    for m, p in zip(members, params):
+        if debug_slow_s > 0:
+            # mesh chaos harness only: manufactures a slow shard so
+            # hedging has something to beat; plumbed through config,
+            # never read from the environment (determinism pass)
+            time.sleep(debug_slow_s)
+        write_result(m.outfile, m.errfile,
+                     lambda: solve(seed=m.seed, **p))
 
 
 # ---------------------------------------------------------------------------
@@ -221,31 +193,6 @@ async def _hoist_graphs(ordered: Sequence[BatchMember],
     return params_out, handles, refs
 
 
-def _harvest(member: BatchMember) -> MemberOutcome | None:
-    """Turn a member's on-disk files into an outcome (None = not done)."""
-    import json
-
-    if member.outfile.exists():
-        try:
-            payload = json.loads(member.outfile.read_text())
-        except ValueError:
-            payload = None              # torn read: worker mid-replace
-        if payload is not None and "values" in payload:
-            return MemberOutcome(status="ok", payload=payload)
-    if member.errfile.exists():
-        try:
-            error = json.loads(member.errfile.read_text()).get("error")
-        except ValueError:
-            error = None
-        if error is not None:
-            try:
-                member.errfile.unlink()
-            except OSError:
-                pass
-            return MemberOutcome(status="error", error=error)
-    return None
-
-
 async def run_batch(
     members: Sequence[BatchMember],
     *,
@@ -271,35 +218,22 @@ async def run_batch(
                        else 0.0))
     shipped_params, shm_handles, shm_refs = await _hoist_graphs(
         ordered, registry)
-    payload = {"jobs": [{"seed": m.seed, "params": dict(p),
-                         "outfile": str(m.outfile),
-                         "errfile": str(m.errfile)}
-                        for m, p in zip(ordered, shipped_params)],
-               "debug_slow_s": float(debug_slow_s)}
-    for m in ordered:
-        m.outfile.parent.mkdir(parents=True, exist_ok=True)
-        m.errfile.parent.mkdir(parents=True, exist_ok=True)
-    ctx = mp_context()
-    proc = ctx.Process(target=_batch_main, args=(payload,), daemon=True)
-    # The child is born with the shard's handlers and loop wakeup fd; a
-    # SIGTERM it gets before _batch_main resets them (all members may
-    # already be cached, so the first sweep terminates it at once) would
-    # shut the shard down.  Forking with the signals blocked holds any
-    # such SIGTERM until the reset unblocks them.
-    old_mask = signal.pthread_sigmask(signal.SIG_BLOCK, INHERITED_SIGNALS)
-    try:
-        proc.start()
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, old_mask)
+    # the forked child inherits the members and their params; all of
+    # them may already be cached, so the first sweep can stop the child
+    # before it runs anything: start() forks it with the shard's
+    # signals blocked until its reset
+    proc = start(_batch_main, ordered, shipped_params, float(debug_slow_s))
     pending = list(ordered)
 
     def sweep() -> None:
         nonlocal pending
         still: list[BatchMember] = []
         for m in pending:
-            outcome = _harvest(m)
-            if outcome is not None:
-                on_outcome(m, outcome)
+            payload, error = read_result(m.outfile, m.errfile)
+            if payload is not None:
+                on_outcome(m, MemberOutcome(status="ok", payload=payload))
+            elif error is not None:
+                on_outcome(m, MemberOutcome(status="error", error=error))
             else:
                 still.append(m)
         pending = still
@@ -326,13 +260,13 @@ async def run_batch(
                        if m.deadline_mono is not None
                        and now >= m.deadline_mono}
             if expired:
-                terminate_process(proc)
+                stop(proc)
                 fail_rest(expired)
                 return
             if not proc.is_alive():
                 proc.join()
                 exitcode = proc.exitcode
-                reap_process(proc)
+                stop(proc)
                 sweep()
                 for m in pending:
                     on_outcome(m, MemberOutcome(
@@ -343,14 +277,14 @@ async def run_batch(
                 return
             await asyncio.sleep(poll_s)
         # all members resolved; reap the worker (it exits right after
-        # its last write, so the grace path in terminate is rarely hit)
-        terminate_process(proc)
+        # its last write, so the grace path in stop is rarely hit)
+        stop(proc)
     except asyncio.CancelledError:
-        terminate_process(proc)
+        stop(proc)
         fail_rest(set())
         raise
     except BaseException:
-        terminate_process(proc)
+        stop(proc)
         raise
     finally:
         # parent owns the hoisted segments: drop registry pins (the

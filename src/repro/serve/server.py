@@ -285,11 +285,6 @@ class Server:
     # Introspection
     # ------------------------------------------------------------------
     def _health(self) -> dict:
-        try:
-            import resource
-            rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        except Exception:  # analyze: allow(silent-except) — resource is POSIX-only; health must not 500 over a missing metric
-            rss_kb = 0
         return {
             "status": "ok",
             "shard": self.config.shard_id,

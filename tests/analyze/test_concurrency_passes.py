@@ -326,7 +326,7 @@ class TestForkHygiene:
 
     RESET = UNRESET.replace(
         "def worker(conn):\n",
-        "from repro.lab.executor import reset_inherited_signals\n"
+        "from repro.core.workers import reset_inherited_signals\n"
         "def worker(conn):\n"
         "    reset_inherited_signals()\n", 1)
 
@@ -347,7 +347,7 @@ class TestForkHygiene:
         # leaves the touch unguarded
         p = write(tmp_path, "src/repro/mod.py",
                   "import multiprocessing as mp\n"
-                  "from repro.lab.executor import "
+                  "from repro.core.workers import "
                   "reset_inherited_signals\n"
                   "def worker(conn, fast):\n"
                   "    if fast:\n"
@@ -386,6 +386,36 @@ class TestForkHygiene:
                   "    payload = {'n': n}\n"
                   "    mp.Process(target=helper, "
                   "args=(payload,)).start()\n")
+        assert analyze_paths([p]) == []
+
+
+class TestPrimitiveSpawns:
+    """Targets of ``repro.core.workers`` spawners are worker entrypoints:
+    fork-safety follows them, and their bootstrap's reset covers
+    fork-hygiene's reset-before-IPC rule."""
+
+    def test_module_write_in_start_target_fires_fork_safety(self, tmp_path):
+        p = write(tmp_path, "src/repro/mod.py",
+                  "from repro.core import workers\n"
+                  "_SEEN = []\n"
+                  "def child(x):\n"
+                  "    _SEEN.append(x)\n"
+                  "def spawn():\n"
+                  "    return workers.start(child, 1)\n")
+        fs = analyze_paths([p])
+        assert rules_of(fs) == ["fork-safety"]
+        assert fs[0].line == 4
+        assert "worker entrypoint 'repro.mod.child'" in fs[0].message
+
+    def test_workers_target_touching_its_pipe_is_clean(self, tmp_path):
+        p = write(tmp_path, "src/repro/mod.py",
+                  "from repro.core.workers import Workers\n"
+                  "def worker(conn):\n"
+                  "    msg = conn.recv()\n"
+                  "    conn.send(msg)\n"
+                  "def spawn():\n"
+                  "    pool = Workers(worker, 2)\n"
+                  "    pool.close()\n")
         assert analyze_paths([p]) == []
 
 

@@ -12,7 +12,8 @@ half-die: listener closed, pooled keep-alive connections still answering
 The reset itself used to leave a window: ``run_batch`` can SIGTERM a
 worker it has just forked (every member already cached) before the
 child reaches the reset.  The worker is therefore forked with the
-inherited signals blocked and unblocks them only inside the reset.
+inherited signals blocked and unblocks them only inside the reset; both
+live in :mod:`repro.core.workers` (tests/core/test_workers.py).
 """
 
 from __future__ import annotations
@@ -24,14 +25,15 @@ import signal
 import time
 from pathlib import Path
 
+from repro.core import workers
+from repro.core.workers import INHERITED_SIGNALS, reset_inherited_signals
 from repro.lab.cache import atomic_write_json
-from repro.lab.executor import (INHERITED_SIGNALS, mp_context,
-                                reset_inherited_signals)
 from repro.mesh.harness import mesh_up
 from repro.serve import parse_job_request
 from repro.serve import pool
 from repro.serve.pool import BatchMember, run_batch
 
+from tests.core.test_workers import record_born_mask
 from tests.mesh.test_router import req
 
 
@@ -101,21 +103,20 @@ def _member(tmp_path: Path, key: str) -> BatchMember:
                        errfile=tmp_path / f"{key}.err", deadline_mono=None)
 
 
-def _record_mask(payload: dict) -> None:
-    """Stand-in batch target: report the signal mask it starts with."""
-    for job in payload["jobs"]:
-        atomic_write_json(Path(job["outfile"]),
-                          {"values": {"blocked": _blocked()}})
-    os._exit(0)
+def _report_born_mask(members, params, debug_slow_s) -> None:
+    """Stand-in batch target: report the mask recorded before the reset."""
+    for m in members:
+        born = json.loads((m.outfile.parent / "born.json").read_text())
+        atomic_write_json(m.outfile, {"values": {"blocked": born}})
 
 
-def _mask_after_reset(path: str) -> None:
-    reset_inherited_signals()
+def _write_mask(path: str) -> None:
     Path(path).write_text(json.dumps(_blocked()))
 
 
 def test_batch_worker_starts_with_sigterm_blocked(tmp_path, monkeypatch):
-    monkeypatch.setattr(pool, "_batch_main", _record_mask)
+    record_born_mask(tmp_path / "born.json", monkeypatch)
+    monkeypatch.setattr(pool, "_batch_main", _report_born_mask)
     member = _member(tmp_path, "m")
     outcomes = {}
     asyncio.run(asyncio.wait_for(run_batch(
@@ -130,15 +131,10 @@ def test_batch_worker_starts_with_sigterm_blocked(tmp_path, monkeypatch):
 
 def test_reset_unblocks_inherited_signals(tmp_path):
     out = tmp_path / "mask.json"
-    old = signal.pthread_sigmask(signal.SIG_BLOCK, INHERITED_SIGNALS)
-    try:
-        proc = mp_context().Process(target=_mask_after_reset,
-                                    args=(str(out),))
-        proc.start()
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, old)
+    proc = workers.start(_write_mask, str(out))   # forks them blocked
     proc.join(30)
     assert proc.exitcode == 0
+    workers.stop(proc)
     assert not {int(sig) for sig in INHERITED_SIGNALS} & set(
         json.loads(out.read_text()))
 

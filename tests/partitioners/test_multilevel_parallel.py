@@ -11,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import cost, is_balanced
+from repro.core import cost, is_balanced, workers
 from repro.generators import planted_partition_hypergraph, random_hypergraph
-from repro.partitioners import multilevel_partition
+from repro.partitioners import multilevel, multilevel_partition, subround
 from repro.partitioners.multilevel import _run_tasks
 
 
@@ -75,5 +75,35 @@ class TestRunTasks:
         assert _run_tasks(_square, [(3,)], 8) == [9]
 
 
+class TestInsideWorker:
+    """Lab tasks and serve batches run in daemonic workers, which may not
+    fork: ``n_jobs > 1`` there must fall back to the serial labels."""
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(rng=7, repetitions=2),         # V-cycles through _run_tasks
+        dict(rng=3),                        # sub-round stages, RoundPool
+    ])
+    def test_n_jobs_falls_back_to_serial(self, planted, tmp_path,
+                                         monkeypatch, kwargs):
+        # lower the size gates so a test-sized graph takes both paths
+        monkeypatch.setattr(multilevel, "_PARALLEL_MIN_PINS", 0)
+        monkeypatch.setattr(multilevel, "POOL_MIN_PINS", 0)
+        monkeypatch.setattr(subround, "POOL_MIN_PINS", 0)
+        monkeypatch.setattr(subround, "_POOL_MIN_ITEMS", 1)
+        g, _ = planted
+        out = tmp_path / "labels.npy"
+        proc = workers.start(_partition_to, str(out), g,
+                             dict(kwargs, n_jobs=2))
+        proc.join(120)
+        assert proc.exitcode == 0
+        workers.stop(proc)
+        serial = multilevel_partition(g, 4, eps=0.05, n_jobs=1, **kwargs)
+        assert np.array_equal(np.load(out), serial.labels)
+
+
 def _square(x: int) -> int:
     return x * x
+
+
+def _partition_to(path: str, g, kwargs: dict) -> None:
+    np.save(path, multilevel_partition(g, 4, eps=0.05, **kwargs).labels)

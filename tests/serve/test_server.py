@@ -100,8 +100,11 @@ class TestProtocolErrors:
 
 
 class TestBackpressure:
+    # Each test occupies the single worker with SLOW; debug_slow_s keeps
+    # it busy for a fixed time however fast the solver gets.
     def test_shed_with_retry_after_past_queue_limit(self, serve_factory):
-        st = serve_factory(workers=1, queue_limit=2, batch_window_s=0.0)
+        st = serve_factory(workers=1, queue_limit=2, batch_window_s=0.0,
+                           debug_slow_s=2.0)
         with client_for(st) as c:
             c.submit(SLOW)                        # occupies the worker
             time.sleep(0.1)                       # let it dispatch
@@ -114,7 +117,7 @@ class TestBackpressure:
         assert health["metrics"]["counters"]["shed"] >= 1
 
     def test_queued_job_past_deadline_times_out_unrun(self, serve_factory):
-        st = serve_factory(workers=1, batch_window_s=0.0)
+        st = serve_factory(workers=1, batch_window_s=0.0, debug_slow_s=2.0)
         with client_for(st) as c:
             c.submit(SLOW)                        # occupies the worker
             time.sleep(0.1)
@@ -124,7 +127,7 @@ class TestBackpressure:
         assert "deadline" in out["error"]
 
     def test_cancel_queued_job(self, serve_factory):
-        st = serve_factory(workers=1, batch_window_s=0.0)
+        st = serve_factory(workers=1, batch_window_s=0.0, debug_slow_s=2.0)
         with client_for(st) as c:
             c.submit(SLOW)
             time.sleep(0.1)
