@@ -13,9 +13,13 @@ mover, cluster cap three times the average node weight), refinement's
 gain stage ``subround._stage_fm_gain`` against its per-part
 ``bincount`` ``_reference_stage_fm_gain`` (row ``fm_gain``: k=8, the
 case's random labels, the nodes v ≡ 0 (mod 8) as one sub-round's
-chunk, connectivity) and ``greedy_sequential_partition`` against its
-numpy-scalar ``_reference_greedy_sequential_partition`` loop (row
-``greedy``: k=8, eps 0.05, relaxed caps).  It writes
+chunk, connectivity), ``kernels.gather_rows`` against its loop
+``_reference_gather_rows`` (row ``gather_rows``: the incidence rows of
+that chunk, the pin rows of their edges, and 100 calls of 60 random
+edges each, the size of most calls a heap-FM V-cycle makes) and
+``greedy_sequential_partition`` against its numpy-scalar
+``_reference_greedy_sequential_partition`` loop (row ``greedy``: k=8,
+eps 0.05, relaxed caps).  It writes
 ``BENCH_kernels.json`` next to this file — the committed baseline that
 ``scripts/check_bench_regression.py`` (and the opt-in ``-m benchcheck``
 pytest marker) compares fresh runs against.
@@ -157,6 +161,23 @@ def bench_case(n: int, m: int, seed: int, repeats: int) -> dict:
         lambda: subround._reference_stage_fm_gain(fm_view, sub_round,
                                                   (k, True)),
         lambda: subround._stage_fm_gain(fm_view, sub_round, (k, True)),
+    )
+    # ragged gathers as the sub-round stages make them: the incidence
+    # rows of one sub-round's nodes (degree-0 nodes give empty rows),
+    # the pin rows of those edges, then 100 small calls of 60 edges each
+    node_ptr, node_edges = graph.incidence()
+    small_rows = np.random.default_rng([seed, 1]).integers(
+        0, m, size=(100, 60))
+
+    def gathers(gather):
+        _, inc = gather(node_ptr, node_edges, sub_round)
+        gather(ptr, pins, inc)
+        for rows in small_rows:
+            gather(ptr, pins, rows)
+
+    pairs["gather_rows"] = (
+        lambda: gathers(kernels._reference_gather_rows),
+        lambda: gathers(kernels.gather_rows),
     )
     pairs["greedy"] = (
         lambda: greedy._reference_greedy_sequential_partition(

@@ -106,13 +106,14 @@ class Hypergraph:
         deduplicated); this is validated vectorised in O(ρ) instead of
         re-running the per-edge normalisation loop.  Contraction,
         parallel-edge merging, and the other structural operations use
-        this entry point.  With ``copy=False`` the arrays are adopted
-        without copying — callers must not mutate them afterwards.
+        this entry point.  With ``copy=False`` int64 arrays are adopted
+        without copying (other dtypes and sequences are converted once) —
+        callers must not mutate them afterwards.
         """
         if num_nodes < 0:
             raise InvalidHypergraphError(f"num_nodes must be >= 0, got {num_nodes}")
-        ptr = np.array(edge_ptr, dtype=np.int64, copy=copy)
-        pins = np.array(edge_pins, dtype=np.int64, copy=copy)
+        ptr = np.array(edge_ptr, dtype=np.int64, copy=copy or None)
+        pins = np.array(edge_pins, dtype=np.int64, copy=copy or None)
         kernels.check_csr(ptr, pins, int(num_nodes))
         self = object.__new__(cls)
         self.n = int(num_nodes)

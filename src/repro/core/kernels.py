@@ -20,9 +20,13 @@ Design notes
 ------------
 All kernels are O(ρ) or O(ρ log ρ) with small constants; none build
 Python objects.  Ragged (per-edge / per-node) operations use the
-standard CSR tricks: ``np.repeat`` for broadcasting per-row values to
-pins, ``np.lexsort`` + run-boundary masks for per-row sort/dedup, and
-offset arithmetic (``gather_rows``) for ragged gathers.
+standard CSR tricks: ``np.repeat``, or row ids
+(``edge_ids_from_ptr``) and ``take``, for broadcasting per-row values
+to pins, ``np.lexsort`` + run-boundary masks for per-row sort/dedup,
+and offset arithmetic (``gather_rows``) for ragged gathers.  Row ids
+and gather offsets come from one scatter into a pin-sized buffer and
+one in-place prefix sum: ``np.repeat`` costs several times more per
+pin on short rows.
 """
 
 from __future__ import annotations
@@ -56,9 +60,17 @@ DEFAULT_PIN_COUNT_BUDGET_BYTES = 2**30
 
 
 def edge_ids_from_ptr(ptr: np.ndarray) -> np.ndarray:
-    """Edge id of every pin: ``[0]*s_0 + [1]*s_1 + ...`` for sizes s_j."""
-    m = ptr.shape[0] - 1
-    return np.repeat(np.arange(m, dtype=np.int64), np.diff(ptr))
+    """Edge id of every pin: ``[0]*s_0 + [1]*s_1 + ...`` for sizes s_j.
+
+    The id of pin i counts the row starts at or before i: one
+    ``bincount`` of the starts of the rows after the first (empty rows
+    share a start, and a trailing one lands in a spare slot), then an
+    in-place prefix sum.
+    """
+    total = int(ptr[-1])
+    ids = np.bincount(ptr[1:-1], minlength=total + 1)
+    np.add.accumulate(ids, out=ids)
+    return ids[:total]
 
 
 def gather_rows(ptr: np.ndarray, pins: np.ndarray,
@@ -66,18 +78,34 @@ def gather_rows(ptr: np.ndarray, pins: np.ndarray,
     """Concatenate the pin rows ``rows`` (a ragged gather).
 
     Returns CSR arrays ``(new_ptr, new_pins)`` over ``len(rows)`` edges,
-    preserving the order of ``rows``.  O(output pins), no Python loop.
+    preserving the order of ``rows``; rows may repeat, come in any order
+    and be empty.  O(len(rows) + output pins), no Python loop, and
+    nothing of size ``len(ptr)`` is touched.  The source index of each
+    output pin is a running sum that steps by 1 inside a row and, at a
+    row's first pin, jumps from the previous row's end to its start:
+    one scatter of the jumps, one in-place prefix sum.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    sizes = np.diff(ptr)[rows] if rows.size else np.zeros(0, dtype=np.int64)
+    jump = ptr[rows]
+    end = ptr[1:][rows]
     new_ptr = np.zeros(rows.size + 1, dtype=np.int64)
-    np.cumsum(sizes, out=new_ptr[1:])
+    np.subtract(end, jump, out=new_ptr[1:])
+    np.add.accumulate(new_ptr[1:], out=new_ptr[1:])
     total = int(new_ptr[-1])
     if total == 0:
         return new_ptr, np.zeros(0, dtype=np.int64)
-    # output[o_r + t] = pins[s_r + t]  =>  index = repeat(s_r - o_r) + arange
-    idx = np.repeat(ptr[rows] - new_ptr[:-1], sizes) + np.arange(total)
-    return new_ptr, pins[idx]
+    # every slot starts at 1 and row r's first slot adds start_r -
+    # end_{r-1} (end_{-1} = 1); an empty row starts where the next one
+    # does, so the jumps are scatter-added (they telescope to start -
+    # end of the last non-empty row), and the jumps of trailing empty
+    # rows land in a spare slot past the end
+    jump[1:] -= end[:-1]
+    jump[0] -= 1
+    idx = np.empty(total + 1, dtype=np.int64)
+    idx.fill(1)
+    np.add.at(idx, new_ptr[:-1], jump)
+    np.add.accumulate(idx, out=idx)
+    return new_ptr, pins.take(idx[:total])
 
 
 def normalize_edges(lengths: np.ndarray, flat: np.ndarray,
@@ -158,25 +186,38 @@ def degrees_from_pins(pins: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(pins, minlength=n).astype(np.int64)
 
 
+def _stable_argsort(keys: np.ndarray, top: int,
+                    order: np.ndarray | None = None) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer keys in ``[0, top]``.
+
+    Least-significant-digit radix: one stable ``argsort`` per 16 bits of
+    ``top``, each on ``uint16`` digits, which NumPy runs as a counting
+    sort instead of a comparison sort on int64.  A stable sort has
+    exactly one output permutation, so the result is the same.  Given
+    ``order``, it sorts ``keys[order]`` stably and returns the composed
+    permutation, so calls on successive keys, least significant first,
+    give the permutation of ``np.lexsort``.
+    """
+    for shift in range(0, max(int(top), 1).bit_length(), 16):
+        # casting to uint16 keeps the low 16 bits of a non-negative key
+        digit = ((keys if order is None else keys[order])
+                 >> shift).astype(np.uint16)
+        step = np.argsort(digit, kind="stable")
+        order = step if order is None else order[step]
+    return order
+
+
 def incidence_from_csr(ptr: np.ndarray, pins: np.ndarray,
                        n: int) -> tuple[np.ndarray, np.ndarray]:
     """Node→edge incidence CSR ``(node_ptr, node_edges)``.
 
-    A stable counting sort of pins, so each node's incident edge ids
-    come out in increasing edge order — identical to the reference fill.
-    The sort is least-significant-digit radix: one stable ``argsort``
-    per 16 bits of ``n - 1``, each on ``uint16`` digits, which NumPy
-    runs as a counting sort instead of a comparison sort on int64.  A
-    stable sort has exactly one output permutation, so this is the
-    permutation ``np.argsort(pins, kind="stable")`` returns.
+    A stable counting sort of pins (``_stable_argsort``), so each node's
+    incident edge ids come out in increasing edge order — identical to
+    the reference fill.
     """
     node_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(pins, minlength=n), out=node_ptr[1:])
-    # casting to uint16 keeps the low 16 bits of a non-negative id
-    order = np.argsort(pins.astype(np.uint16), kind="stable")
-    for shift in range(16, max(int(n) - 1, 0).bit_length(), 16):
-        digit = (pins[order] >> shift).astype(np.uint16)
-        order = order[np.argsort(digit, kind="stable")]
+    order = _stable_argsort(pins, int(n) - 1)
     return node_ptr, edge_ids_from_ptr(ptr)[order]
 
 
@@ -221,8 +262,8 @@ def merge_parallel_csr(
     edge per distinct pin row, in order of first occurrence (matching
     the dict-based reference); ``first_ids`` are the original ids of
     the representatives.  Rows are grouped size-class by size-class:
-    one stable sort of the edge sizes lists each class's edges in id
-    order, their rows are gathered and bit-packed into a few int64
+    one stable radix sort of the edge sizes lists each class's edges in
+    id order, their rows are gathered and bit-packed into a few int64
     keys, a sort brings identical rows together, run boundaries delimit
     the groups.
     """
@@ -230,7 +271,7 @@ def merge_parallel_csr(
     sizes = np.diff(ptr)
     rep = np.arange(m, dtype=np.int64)
     bits = max(1, int(pins.max()).bit_length()) if pins.size else 1
-    by_size = np.argsort(sizes, kind="stable")
+    by_size = _stable_argsort(sizes, int(sizes.max()) if m else 0)
     sorted_sizes = sizes[by_size]
     starts = np.flatnonzero(np.r_[True, sorted_sizes[1:] != sorted_sizes[:-1]])
     ends = np.r_[starts[1:], m]
@@ -248,7 +289,10 @@ def merge_parallel_csr(
         if len(keys) == 1:
             order = np.argsort(keys[0])
         else:
-            order = np.lexsort(keys)
+            # np.lexsort's permutation, by radix passes over each key
+            order = None
+            for key in keys:
+                order = _stable_argsort(key, int(key.max()), order)
         sk = [key[order] for key in keys]
         bound = np.empty(idx.size, dtype=bool)
         bound[0] = True

@@ -32,7 +32,7 @@ from __future__ import annotations
 import traceback
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_array
 
 from ..analyze import sanitize
 from ..core import kernels
@@ -67,8 +67,8 @@ _POOL_MIN_ITEMS = 4096
 # Serial stages are chunked too (bounds peak temporaries; the results
 # are chunk-independent by construction so this is free).
 _SERIAL_CHUNK = 1 << 18
-# Bit budget of propose's packed (owner, cluster, position) sort key: a
-# non-negative int64.  One mover always fits (n and its pairs < 2^31).
+# Bit budget of propose's packed (owner, cluster, incidence) sort key: a
+# non-negative int64.  One mover always fits (n and its degree < 2^31).
 _PACK_BITS = 63
 # Floating-point slack for "strictly improving" decisions, mirroring
 # fm.GAIN_ATOL: gains are sums of edge weights, so exact zeros dominate
@@ -117,18 +117,23 @@ def _stage_propose(view: _LevelView, chunk: np.ndarray, extra) -> tuple:
 
     Rating of mover v joining cluster C is the heavy-pin score
     Σ_{e ∋ v} w_e/(|e|−1) · |pins(e) ∩ C|, accumulated per (owner,
-    cluster) in the owner's incidence order.  The pairs are grouped by
-    one ``np.sort`` of the (owner, cluster) key with each pair's
-    position packed into its low bits: the packed values are distinct,
-    so the sort returns the stable argsort's permutation and equal keys
-    keep their order, which makes the float sum identical under any
-    chunking.  A chunk whose packed key would pass ``_PACK_BITS`` bits
-    is split in two (the stage is split-invariant).  Ties broken by
-    (rating desc, cluster id asc): the sorted pairs of a mover run in
-    increasing cluster id, so a segmented max (``maximum.reduceat``)
-    and the first pair reaching it pick the winner without a second
-    sort.  Returns ``(targets, ratings)`` aligned with ``chunk``;
-    target −1 where no admissible cluster exists.
+    cluster) in the owner's incidence order.  An incidence whose edge
+    scores 0 makes no pair, so it is dropped before its pins are
+    gathered, and the (mover, pin) pairs are filtered once, into
+    positions: every pair-sized array is built once and read by
+    ``take``.  The kept pairs are grouped by one ``np.sort`` of the
+    (owner, cluster) key with the pair's incidence position packed into
+    its low bits.  Within a key the positions then ascend as the pairs
+    do, and pairs sharing a position share their score, so ``reduceat``
+    adds the same terms in the same order as after a stable sort of the
+    key alone, under any chunking.  A chunk whose packed key would pass
+    ``_PACK_BITS`` bits is split in two before any pair is built (the
+    stage is split-invariant).  Ties broken by (rating desc, cluster id
+    asc): the sorted pairs of a mover run in increasing cluster id, so
+    a segmented max (``maximum.reduceat``) and the first pair reaching
+    it pick the winner without a second sort.  Returns ``(targets,
+    ratings)`` aligned with ``chunk``; target −1 where no admissible
+    cluster exists.
     """
     (max_w,) = extra
     cluster = view.state["cluster"]
@@ -139,37 +144,49 @@ def _stage_propose(view: _LevelView, chunk: np.ndarray, extra) -> tuple:
         return targets, ratings
     n = np.int64(view.nw.size)
     inc_ptr, inc = kernels.gather_rows(view.node_ptr, view.node_edges, chunk)
-    if inc.size == 0:
+    contrib = view.escore.take(inc)
+    live = np.flatnonzero(contrib > 0.0)
+    if live.size == 0:
         return targets, ratings
-    epins = np.diff(view.ptr)[inc]
-    owner_edge = np.repeat(np.arange(chunk.size, dtype=np.int64),
-                           np.diff(inc_ptr))
-    _, cand = kernels.gather_rows(view.ptr, view.pins, inc)
-    owner = np.repeat(owner_edge, epins)
-    contrib = np.repeat(view.escore[inc], epins)
-    self_ids = chunk[owner]
-    # movers are singletons (cluster[v] == v), so tc != v excludes both
-    # self-pins and same-cluster pins in one comparison
-    tc = cluster[cand]
-    ok = ((tc != self_ids) & (contrib > 0.0)
-          & (cw[self_ids] + cw[tc] <= max_w))
-    owner, tc, contrib = owner[ok], tc[ok], contrib[ok]
-    if owner.size == 0:
-        return targets, ratings
-    # key < c·n; the low b bits carry the pair's position
-    b = owner.size.bit_length()
+    # key < c·n; the low b bits carry the pair's incidence position
+    b = live.size.bit_length()
     if chunk.size > 1 and int(chunk.size * n).bit_length() + b > _PACK_BITS:
         half = chunk.size // 2
         lo = _stage_propose(view, chunk[:half], extra)
         hi = _stage_propose(view, chunk[half:], extra)
         return tuple(np.concatenate(pair) for pair in zip(lo, hi))
-    key = owner * n + tc
-    packed = np.sort((key << b) | np.arange(key.size, dtype=np.int64))
-    key_s = packed >> b
-    contrib_s = contrib[packed & ((1 << b) - 1)]
-    starts = np.flatnonzero(np.r_[True, key_s[1:] != key_s[:-1]])
+    owner = kernels.edge_ids_from_ptr(inc_ptr).take(live)
+    inc, contrib = inc.take(live), contrib.take(live)
+    self_ids = chunk.take(owner)
+    cand_ptr, cand = kernels.gather_rows(view.ptr, view.pins, inc)
+    tc = cluster.take(cand)
+    # pair-sized arrays are dropped once read: they set the stage's peak
+    del cand
+    pos = kernels.edge_ids_from_ptr(cand_ptr)
+    # movers are singletons (cluster[v] == v), so tc != v excludes both
+    # self-pins and same-cluster pins in one comparison
+    ok = tc != self_ids.take(pos)
+    joined = cw.take(self_ids).take(pos)
+    joined += cw.take(tc)
+    ok &= joined <= max_w
+    del joined
+    sel = np.flatnonzero(ok)
+    del ok
+    if sel.size == 0:
+        return targets, ratings
+    pos = pos.take(sel)
+    key = tc.take(sel)
+    del tc, sel
+    key += owner.take(pos) * n
+    key <<= b
+    key |= pos
+    del pos
+    key.sort()
+    contrib_s = contrib.take(key & ((1 << b) - 1))
+    key >>= b
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     score = np.add.reduceat(contrib_s, starts)
-    pair_key = key_s[starts]
+    pair_key = key.take(starts)
     pair_owner = pair_key // n
     mover_starts = np.flatnonzero(
         np.r_[True, pair_owner[1:] != pair_owner[:-1]])
@@ -197,21 +214,25 @@ def _stage_fm_gain(view: _LevelView, chunk: np.ndarray, extra) -> tuple:
     adds a row's terms in column order from zero, as an ordered
     ``bincount`` does, so every gain equals
     :func:`_reference_stage_fm_gain`'s bit for bit and is
-    chunk-boundary independent.  Ties: ``argmax`` returns the smallest
-    part id.  Returns ``(gains, targets)``.
+    chunk-boundary independent.  The leave flags are one flat gather
+    from the pin-count rows, and the matrix is a ``csr_array``, whose
+    constructor keeps the int64 indices as they are.  Ties: ``argmax``
+    returns the smallest part id.  Returns ``(gains, targets)``.
     """
-    _, conn = extra
+    k, conn = extra
     labels = view.state["labels"]
     pc = view.state["pin_counts"]
     c = chunk.size
     inc_ptr, inc = kernels.gather_rows(view.node_ptr, view.node_edges, chunk)
     a = labels[chunk]
     pcr = np.take(pc, inc, axis=0)
-    a_pin = np.repeat(a, np.diff(inc_ptr))
-    # v is the last pin of e in its own part
-    leave = np.take_along_axis(pcr, a_pin[:, None], axis=1)[:, 0] == 1
-    w = csr_matrix((view.ew[inc], np.arange(inc.size), inc_ptr),
-                   shape=(c, inc.size))
+    # v is the last pin of e in its own part: entry (i, a_i) of row-major
+    # pcr sits at i·k + a_i
+    flat = a.take(kernels.edge_ids_from_ptr(inc_ptr))
+    flat += np.arange(0, inc.size * k, k)
+    leave = pcr.ravel().take(flat) == 1
+    w = csr_array((view.ew.take(inc), np.arange(inc.size), inc_ptr),
+                  shape=(c, inc.size))
     if conn:
         # connectivity: leaving part a removes w_e where v was its last
         # pin there; entering part t adds w_e where t had no pin yet
@@ -358,8 +379,9 @@ def _pool_worker_main(conn) -> None:
     """Worker loop: attach-by-name, run pure stages, report peak RSS.
 
     A parent SIGKILL reaches the worker as EOF (:class:`Workers` closes
-    the parent-side ends it inherited), so it exits and the resource
-    tracker unlinks the segments (the kill-mid-run test pins this down).
+    the parent-side ends it inherited), or as a broken pipe when it
+    lands mid-stage, so it exits and the resource tracker unlinks the
+    segments (the kill-mid-run test pins this down).
 
     The RSS *delta* over the post-fork baseline is what the scale bench
     gates on: attached shared pages are counted once system-wide, so a
@@ -383,18 +405,22 @@ def _pool_worker_main(conn) -> None:
                         handle = cache.pop(name, None)
                         if handle is not None:
                             handle.close()
-                    conn.send(("ok", None))
+                    reply = ("ok", None)
                 elif kind == "stats":
                     delta = max(0, peak_rss_bytes() - base_rss)
-                    conn.send(("ok", {"rss_delta_bytes": delta}))
+                    reply = ("ok", {"rss_delta_bytes": delta})
                 elif kind == "stage":
                     stage, gdesc, sdesc, chunk, extra = msg[1:]
                     view = _attach_view(cache, gdesc, sdesc)
-                    conn.send(("ok", _STAGES[stage](view, chunk, extra)))
+                    reply = ("ok", _STAGES[stage](view, chunk, extra))
                 else:
-                    conn.send(("err", f"unknown message kind {kind!r}"))
+                    reply = ("err", f"unknown message kind {kind!r}")
             except BaseException:
-                conn.send(("err", traceback.format_exc()))
+                reply = ("err", traceback.format_exc())
+            try:
+                conn.send(reply)
+            except OSError:
+                break                   # the parent is gone
     finally:
         for handle in cache.values():
             handle.close()
@@ -823,21 +849,32 @@ def _bulk_move(graph, labels, pc, edge_nz, part_w, ncut, stale, nodes,
                new_labels, conn) -> float:
     """Apply a batch of moves in place; return the exact cost delta.
 
-    ``pin_counts`` is updated incrementally via ``np.add.at`` over the
-    moved nodes' incident edges; only touched edges are re-summed.
-    Every pin of a touched edge is marked ``stale`` (its rating reads
-    that edge's row), and ``ncut`` follows each touched edge whose cut
-    status flips.  An undo is a batch move like any other.
+    ``pin_counts`` is updated incrementally by a 1-D ``np.add.at`` over
+    the (edge·k + part) codes of the moved nodes' incidences, through a
+    flat view of ``pc``; only touched edges are re-summed.  The touched
+    edges are listed, sorted, by marking them in an edge-sized mask,
+    which costs less than sorting the incidences.  Every pin of a
+    touched edge is marked ``stale`` (its rating reads that edge's row),
+    and ``ncut`` follows each touched edge whose cut status flips.  An
+    undo is a batch move like any other.
     """
     ptr, pins = graph.csr()
     node_ptr, node_edges = graph.incidence()
     ew, nw = graph.edge_weights, graph.node_weights
+    k = pc.shape[1]
+    # on the pool path pc lives in shared memory: updates to a copy
+    # would never reach the workers
+    pc_flat = pc.reshape(-1)
+    assert np.shares_memory(pc_flat, pc)
     old = labels[nodes]
     inc_ptr, rows = kernels.gather_rows(node_ptr, node_edges, nodes)
     reps = np.diff(inc_ptr)
-    np.add.at(pc, (rows, np.repeat(old, reps)), -1)
-    np.add.at(pc, (rows, np.repeat(new_labels, reps)), 1)
-    touched = np.unique(rows)
+    code = rows * k
+    np.add.at(pc_flat, code + np.repeat(old, reps), -1)
+    np.add.at(pc_flat, code + np.repeat(new_labels, reps), 1)
+    mark = np.zeros(edge_nz.size, dtype=bool)
+    mark[rows] = True
+    touched = np.flatnonzero(mark)
     new_nz = (np.take(pc, touched, axis=0) > 0).sum(axis=1).astype(np.int64)
     old_nz = edge_nz[touched]
     cut_flip = (new_nz > 1).astype(np.int64) - (old_nz > 1)

@@ -117,6 +117,33 @@ class TestDegreesAndCSR:
         assert g.edges == edges
 
 
+class TestFromCsrNoCopy:
+    """``from_csr(..., copy=False)`` adopts int64 arrays and converts
+    anything else once, instead of refusing to copy."""
+
+    def test_int32_arrays_are_converted(self):
+        ptr = np.array([0, 2, 4], dtype=np.int32)
+        pins = np.array([0, 1, 1, 2], dtype=np.int32)
+        g = Hypergraph.from_csr(3, ptr, pins, copy=False)
+        got_ptr, got_pins = g.csr()
+        assert got_ptr.dtype == got_pins.dtype == np.int64
+        assert g.edges == ((0, 1), (1, 2))
+
+    def test_lists_are_converted(self):
+        g = Hypergraph.from_csr(3, [0, 2, 4], [0, 1, 1, 2], copy=False)
+        assert g.edges == ((0, 1), (1, 2))
+        assert g.csr()[0].dtype == np.int64
+
+    def test_int64_arrays_are_adopted(self):
+        ptr = np.array([0, 2, 4], dtype=np.int64)
+        pins = np.array([0, 1, 1, 2], dtype=np.int64)
+        g = Hypergraph.from_csr(3, ptr, pins, copy=False)
+        assert np.shares_memory(g.csr()[0], ptr)
+        assert np.shares_memory(g.csr()[1], pins)
+        copied = Hypergraph.from_csr(3, ptr, pins)
+        assert not np.shares_memory(copied.csr()[1], pins)
+
+
 class TestInducedSubgraph:
     def test_keeps_only_contained_edges(self):
         g = Hypergraph(4, [(0, 1), (1, 2), (2, 3)])

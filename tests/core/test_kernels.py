@@ -149,6 +149,34 @@ class TestStructureKernels:
         assert _edges_of(ptr, pins) == ref_edges
         assert np.allclose(w, ref_w)
 
+    @pytest.mark.parametrize("n", [2**10, 2**20, 2**40])
+    def test_merge_parallel_rows_of_several_keys(self, n):
+        """Rows longer than one packed key (2, 3 and 7 keys a row for
+        these pin widths): duplicates, and rows that share only their
+        first or only their last pins, must group as the dict does."""
+        rng = np.random.default_rng(n)
+        rows = [np.sort(rng.choice(n, size=s, replace=False))
+                for s in rng.choice([3, 7, 9], size=40)]
+        for r in list(rows):
+            if r.size == 7:
+                head, tail = r.copy(), r.copy()
+                head[-1] += head[-1] + 1 < n        # same first pins
+                tail[0] -= tail[0] > 0              # same last pins
+                rows += [r.copy(), head, tail]
+        rng.shuffle(rows)
+        ptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([r.size for r in rows], out=ptr[1:])
+        pins = np.concatenate(rows).astype(np.int64)
+        weights = rng.uniform(0, 5, size=len(rows))
+        edges = [tuple(r.tolist()) for r in rows]
+        ref_edges, ref_w = kernels._reference_merge_parallel(edges, weights)
+        new_ptr, new_pins, w, first = kernels.merge_parallel_csr(
+            ptr, pins, weights)
+        assert _edges_of(new_ptr, new_pins) == ref_edges
+        assert np.allclose(w, ref_w)
+        assert [edges[i] for i in first] == ref_edges
+        assert len(ref_edges) < len(edges)
+
     @given(hypergraphs())
     def test_adjacency_matches_reference(self, g: Hypergraph):
         ref = kernels._reference_adjacency(g.edges, g.n)
@@ -156,6 +184,15 @@ class TestStructureKernels:
         got = [tuple(anodes[aptr[v]:aptr[v + 1]].tolist())
                for v in range(g.n)]
         assert got == ref
+
+    @pytest.mark.parametrize("top", [0, 9, 2**16 - 1, 2**16, 2**20, 2**40])
+    def test_radix_argsort_is_the_stable_argsort(self, top):
+        """One, two and three 16-bit digits, with many ties."""
+        rng = np.random.default_rng(top)
+        keys = rng.integers(0, top + 1, size=3000, dtype=np.int64)
+        keys[::7] = keys[0]
+        got = kernels._stable_argsort(keys, top)
+        assert np.array_equal(got, np.argsort(keys, kind="stable"))
 
 
 class TestPartitionKernels:
@@ -239,6 +276,45 @@ class TestRaggedHelpers:
         got_ptr, got_pins = kernels.gather_rows(ptr, pins, rows)
         assert np.array_equal(ref_ptr, got_ptr)
         assert np.array_equal(ref_pins, got_pins)
+
+    @given(hypergraphs(), st.randoms(use_true_random=False))
+    def test_gather_rows_on_incidence_rows(self, g: Hypergraph, rnd):
+        """Incidence CSR has empty rows (degree-0 nodes); the rows asked
+        for repeat and come in any order."""
+        node_ptr, node_edges = g.incidence()
+        rows = np.array([rnd.randrange(g.n)
+                         for _ in range(rnd.randint(0, 3 * g.n))],
+                        dtype=np.int64)
+        ref_ptr, ref_pins = kernels._reference_gather_rows(
+            node_ptr, node_edges, rows)
+        got_ptr, got_pins = kernels.gather_rows(node_ptr, node_edges, rows)
+        assert got_ptr.dtype == got_pins.dtype == np.int64
+        assert np.array_equal(ref_ptr, got_ptr)
+        assert np.array_equal(ref_pins, got_pins)
+
+    @pytest.mark.parametrize("rows", [
+        [], [0], [4], [0, 2, 4], [3, 1, 1, 3], [4, 0, 2, 0, 4, 1],
+        [2, 2, 2], [1, 3, 0, 4, 2],
+    ])
+    def test_gather_rows_empty_rows_at_both_ends(self, rows):
+        # rows 0, 2 and 4 are empty: the first, a middle and the last
+        ptr = np.array([0, 0, 3, 3, 5, 5], dtype=np.int64)
+        pins = np.array([7, 8, 9, 1, 2], dtype=np.int64)
+        rows = np.array(rows, dtype=np.int64)
+        ref_ptr, ref_pins = kernels._reference_gather_rows(ptr, pins, rows)
+        got_ptr, got_pins = kernels.gather_rows(ptr, pins, rows)
+        assert np.array_equal(ref_ptr, got_ptr)
+        assert np.array_equal(ref_pins, got_pins)
+
+    @given(hypergraphs())
+    def test_edge_ids_on_incidence_rows(self, g: Hypergraph):
+        node_ptr, _ = g.incidence()
+        ref = kernels._reference_edge_ids(node_ptr)
+        got = kernels.edge_ids_from_ptr(node_ptr)
+        assert got.dtype == np.int64
+        assert np.array_equal(ref, got)
+        empty_ends = np.array([0, 0, 2, 2, 3, 3], dtype=np.int64)
+        assert kernels.edge_ids_from_ptr(empty_ends).tolist() == [1, 1, 3]
 
     @given(hypergraphs())
     def test_edge_ids_match_reference(self, g: Hypergraph):

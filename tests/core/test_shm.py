@@ -160,11 +160,15 @@ class TestSharedCSR:
                 assert np.array_equal(a, b)
 
 
+# The victim is the 10^6-pin instance of bench_scale: its levels keep
+# their pool segments for tenths of a second, well past the test's 50 ms
+# registration margin, while a 30 000-node victim's segments came and
+# went between two snapshots on a 2-CPU host and the test skipped.
 _KILL_CHILD = """\
 from repro.generators import streaming_planted_hypergraph
 from repro.partitioners import multilevel_partition
 
-g, _ = streaming_planted_hypergraph(30_000, 8, 18_000, 2_000, edge_size=5,
+g, _ = streaming_planted_hypergraph(300_000, 8, 180_000, 20_000, edge_size=5,
                                     rng=3)
 multilevel_partition(g, 8, eps=0.05, rng=7, n_jobs=2)
 """

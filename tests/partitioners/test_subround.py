@@ -257,6 +257,29 @@ class TestProposeStage:
         if budget < 4 and movers.size > 1 and (ref[0] >= 0).any():
             assert len(calls) > 1
 
+    def test_chunk_whose_pairs_all_fail(self):
+        """No pair survives: node 4 lies only on a one-pin edge and node
+        5 only on a weight-0 edge, so neither builds a pair, and a cap
+        below every two-node weight rejects all the pairs the others
+        build."""
+        g = Hypergraph(6, [[0, 1], [1, 2, 3], [4], [0, 5]],
+                       edge_weights=[1.0, 2.0, 1.0, 0.0])
+        ptr, pins = g.csr()
+        view = subround._LevelView(
+            ptr, pins, *g.incidence(), g.node_weights, g.edge_weights,
+            {"cluster": np.arange(6, dtype=np.int64),
+             "cweight": g.node_weights.copy()})
+        for movers, max_w in ((np.array([4, 5]), 10.0),
+                              (np.arange(6), 1.5)):
+            got = _stage_propose(view, movers, (max_w,))
+            ref = _reference_stage_propose(view, movers, (max_w,))
+            for a, b in zip(got, ref):
+                assert a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
+            assert (got[0] == -1).all() and not got[1].any()
+        # with a cap that admits them, the same pairs do propose
+        assert (_stage_propose(view, np.arange(4), (2.0,))[0] >= 0).all()
+
 
 class TestFMGainStage:
     @given(fm_levels(), st.data())
@@ -367,6 +390,57 @@ class TestFMRefine:
             out.append(refine(g, labels0, k=4, eps=0.05, pool=None).labels)
         assert np.array_equal(out[0], out[1])
         assert rated[0] <= 0.75 * rated[1]
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_bulk_move_updates_the_callers_pin_counts(self, planted, shared):
+        """``_bulk_move`` writes pin counts through a flat view, which
+        must alias the state's matrix, whether the state is the parent's
+        own arrays or the shared segment pool workers read."""
+        g, _ = planted
+        k = 4
+        ptr, pins = g.csr()
+        labels0 = np.random.default_rng(8).integers(0, k, size=g.n,
+                                                    dtype=np.int64)
+        pc0 = kernels.pin_count_matrix(ptr, pins, labels0, k)
+        fields = {"labels": labels0.copy(), "pin_counts": pc0.copy(),
+                  "edge_nz": (pc0 > 0).sum(axis=1).astype(np.int64)}
+        shm = SharedArrays.create(fields) if shared else None
+        try:
+            state = ({name: shm[name] for name in fields} if shared
+                     else fields)
+            nodes = np.arange(0, g.n, 7, dtype=np.int64)
+            new = (labels0[nodes] + 1) % k
+            part_w = np.bincount(labels0, weights=g.node_weights,
+                                 minlength=k).astype(np.float64)
+            ncut = np.zeros(g.n, dtype=np.int64)
+            stale = np.zeros(g.n, dtype=bool)
+            ref = {name: a.copy() for name, a in fields.items()}
+            ref_w = part_w.copy()
+            delta = subround._bulk_move(
+                g, state["labels"], state["pin_counts"], state["edge_nz"],
+                part_w, ncut, stale, nodes, new, True)
+            ref_delta = subround._reference_bulk_move(
+                *g.incidence(), g.edge_weights, g.node_weights,
+                ref["labels"], ref["pin_counts"], ref["edge_nz"], ref_w,
+                nodes, new, True)
+            assert delta == ref_delta
+            for name in fields:
+                assert np.array_equal(state[name], ref[name]), name
+            assert np.array_equal(
+                state["pin_counts"],
+                kernels.pin_count_matrix(ptr, pins, state["labels"], k))
+            if shared:
+                # a fresh mapping of the segment sees the update as well
+                again = SharedArrays.attach(shm.descriptor())
+                try:
+                    assert np.array_equal(again["pin_counts"],
+                                          ref["pin_counts"])
+                finally:
+                    again.close()
+        finally:
+            if shm is not None:
+                shm.close()
+                shm.unlink()
 
     def test_input_labels_unmodified(self, planted):
         g, _ = planted
