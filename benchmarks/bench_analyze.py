@@ -101,6 +101,7 @@ def run(repeats: int = 3) -> dict:
 
     return {
         "config": {"paths": list(PATHS), "repeats": repeats},
+        "cpu_count": os.cpu_count(),
         "files": cold_report.files,
         "findings": len(cold_report.findings),
         "cold_s": round(min(cold_s), 4),
@@ -122,7 +123,7 @@ def run(repeats: int = 3) -> dict:
 def report(result: dict) -> None:
     speedup = result["cold_s"] / max(result["incremental_s"], 1e-9)
     print(f"analyzed {result['files']} files, "
-          f"{result['findings']} finding(s)")
+          f"{result['findings']} finding(s) on {result['cpu_count']} CPU(s)")
     print(f"  cold        {result['cold_s'] * 1e3:8.1f} ms")
     print(f"  incremental {result['incremental_s'] * 1e3:8.1f} ms "
           f"({speedup:.1f}x, {result['warm_reused']} summaries reused)")

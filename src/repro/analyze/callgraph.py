@@ -119,16 +119,13 @@ class CallGraph:
                 seen.add(key)
                 yield node, label, list(reg.get("tags") or [])
 
-    def worker_entrypoints(self, spawned: bool = True
-                           ) -> Iterable[tuple[str, str]]:
-        """``(node, label)`` for every ``Process(target=...)`` spawn and,
-        with ``spawned``, every function a :mod:`repro.core.workers`
-        spawner runs in a child."""
+    def worker_entrypoints(self) -> Iterable[tuple[str, str]]:
+        """``(node, label)`` for every ``Process(target=...)`` spawn and
+        every function a :mod:`repro.core.workers` spawner runs in a
+        child."""
         seen: set[str] = set()
         for s in self.index.summaries:
-            targets = s.process_targets + (s.spawn_targets if spawned
-                                           else [])
-            for tgt in targets:
+            for tgt in s.worker_targets:
                 node = self.resolve_function(tgt)
                 if node is None or node in seen:
                     continue

@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 #: Bump to invalidate every cached summary (rule/pass/format changes).
-ENGINE_VERSION = "analyze-v4.1"
+ENGINE_VERSION = "analyze-v5.0"
 
 #: Constructors whose result is an explicit, caller-owned Generator.
 RNG_CONSTRUCTORS = {"numpy.random.default_rng", "numpy.random.Generator"}
@@ -67,6 +67,15 @@ RNG_PARAM_NAMES = {"rng", "gen", "generator", "random_state"}
 SPAWNERS = frozenset({"repro.core.workers.start",
                       "repro.core.workers.Workers",
                       "repro.core.workers.fork_map"})
+
+#: Constructors of thread-blocking locks.  ``with lock:`` on one is
+#: recorded as a call to ``<constructor>.acquire``, so the
+#: async-blocking pass sees a contended lock on a coroutine path.
+SYNC_LOCKS = frozenset({
+    "threading.Lock", "threading.RLock", "threading.Semaphore",
+    "threading.BoundedSemaphore", "threading.Condition",
+    "multiprocessing.Lock", "multiprocessing.RLock",
+})
 
 #: Method names that mutate their receiver in place.  Applied only when
 #: the receiver resolves to module-level state (this module's globals
@@ -132,9 +141,9 @@ class ModuleSummary:
     imports: dict = field(default_factory=dict)
     calls: dict = field(default_factory=dict)          # qual -> [[line, resolved, written]]
     global_writes: dict = field(default_factory=dict)  # qual -> [[line, name]]
-    process_targets: list = field(default_factory=list)
-    #: first arguments of :data:`SPAWNERS` calls
-    spawn_targets: list = field(default_factory=list)
+    #: ``Process(target=...)`` targets and first arguments of
+    #: :data:`SPAWNERS` calls
+    worker_targets: list = field(default_factory=list)
     rng_globals: list = field(default_factory=list)
     rng_draws: dict = field(default_factory=dict)      # qual -> [[line, kind, detail]]
     registrations: list = field(default_factory=list)
@@ -146,11 +155,6 @@ class ModuleSummary:
     #: (the flow's path component is this module's path, re-attached on
     #: deserialisation).
     path_findings: list = field(default_factory=list)
-    #: Concurrency fact layer (locks, acquisitions with held sets,
-    #: executor submissions, fork spawns, reset-dominance) consumed by
-    #: the lock-discipline and fork-hygiene passes; see
-    #: :mod:`repro.analyze.concurrency`.
-    concurrency: dict = field(default_factory=dict)
     pragmas: list = field(default_factory=list)
 
     def pragma_table(self) -> PragmaTable:
@@ -175,14 +179,12 @@ class ModuleSummary:
             "functions": self.functions, "classes": self.classes,
             "imports": self.imports, "calls": self.calls,
             "global_writes": self.global_writes,
-            "process_targets": self.process_targets,
-            "spawn_targets": self.spawn_targets,
+            "worker_targets": self.worker_targets,
             "rng_globals": self.rng_globals, "rng_draws": self.rng_draws,
             "registrations": self.registrations,
             "referenced_names": self.referenced_names,
             "local_findings": self.local_findings,
             "path_findings": self.path_findings,
-            "concurrency": self.concurrency,
             "pragmas": self.pragmas,
         }
 
@@ -193,10 +195,9 @@ class ModuleSummary:
         kwargs = {k: data[k] for k in (
             "path", "module", "in_src", "in_tests", "is_init", "functions",
             "classes", "imports", "calls", "global_writes",
-            "process_targets", "spawn_targets", "rng_globals", "rng_draws",
-            "registrations",
+            "worker_targets", "rng_globals", "rng_draws", "registrations",
             "referenced_names", "local_findings", "path_findings",
-            "concurrency", "pragmas")}
+            "pragmas")}
         return cls(**kwargs)
 
 
@@ -280,6 +281,9 @@ class Extractor:
         self.local_async: set[str] = set()
         self.call_records: list = []        # (qual, line, resolved, written)
         self._top_names: set[str] = set()
+        #: "Class.attr" (a ``self.attr`` lock) or module-level name ->
+        #: its :data:`SYNC_LOCKS` constructor
+        self._sync_locks: dict[str, str] = {}
         self._referenced: set[str] = set()
 
     # -- name resolution ------------------------------------------------
@@ -333,6 +337,12 @@ class Extractor:
                     self.local_async.add(node.name)
         for stmt in tree.body:
             self._scan_top_level(stmt)
+            if isinstance(stmt, ast.ClassDef):
+                for sub in ast.walk(stmt):
+                    if isinstance(sub, ast.Assign):
+                        self._note_lock(sub, stmt.name)
+            elif isinstance(stmt, ast.Assign):
+                self._note_lock(stmt, None)
         mod_ctx = _FnCtx("<module>", None)
         for stmt in tree.body:
             self._visit(stmt, mod_ctx)
@@ -358,6 +368,34 @@ class Extractor:
                     for t in targets:
                         if isinstance(t, ast.Name):
                             self.summary.rng_globals.append(t.id)
+
+    def _note_lock(self, stmt: ast.Assign, cls: str | None) -> None:
+        if not isinstance(stmt.value, ast.Call):
+            return
+        ctor = self.resolve(_dotted(stmt.value.func))
+        if ctor not in SYNC_LOCKS:
+            return
+        for t in stmt.targets:
+            if cls is None and isinstance(t, ast.Name):
+                self._sync_locks[t.id] = ctor
+            elif (cls is not None and isinstance(t, ast.Attribute)
+                    and isinstance(t.value, ast.Name)
+                    and t.value.id == "self"):
+                self._sync_locks[f"{cls}.{t.attr}"] = ctor
+
+    def _lock_ctor(self, expr: ast.AST, ctx: _FnCtx) -> str | None:
+        """The :data:`SYNC_LOCKS` constructor of the lock ``expr`` names."""
+        if isinstance(expr, ast.Name):
+            ctor = ctx.local_types.get(expr.id) or (
+                None if expr.id in ctx.params
+                else self._sync_locks.get(expr.id))
+        elif (isinstance(expr, ast.Attribute)
+                and isinstance(expr.value, ast.Name)
+                and expr.value.id == "self" and ctx.cls):
+            ctor = self._sync_locks.get(f"{ctx.cls}.{expr.attr}")
+        else:
+            return None
+        return ctor if ctor in SYNC_LOCKS else None
 
     def _register_function(self, node, qual: str) -> None:
         a = node.args
@@ -435,8 +473,13 @@ class Extractor:
         elif isinstance(node, (ast.With, ast.AsyncWith)):
             # `with ServeClient(...) as c:` types c exactly like
             # `c = ServeClient(...)` would, so calls on context-managed
-            # locals resolve interprocedurally.
+            # locals resolve interprocedurally; `with lock:` calls the
+            # lock's acquire.
             for item in node.items:
+                ctor = self._lock_ctor(item.context_expr, ctx)
+                if ctor is not None:
+                    self._record_call(node.lineno, f"{ctor}.acquire",
+                                      _dotted(item.context_expr), ctx)
                 if isinstance(item.optional_vars, ast.Name):
                     self._track_local_value(item.optional_vars.id,
                                             item.context_expr, ctx)
@@ -509,31 +552,46 @@ class Extractor:
     def _track_local(self, name: str, node, ctx: _FnCtx) -> None:
         self._track_local_value(name, getattr(node, "value", None), ctx)
 
+    def _rng_born(self, value, ctx: _FnCtx) -> str | None:
+        """Provenance of the Generator ``value`` evaluates to, or None.
+
+        A constructor call is fed by a parameter (good), a
+        constant/derived seed, or nothing at all (fresh OS entropy —
+        never replayable).  ``a if p else b`` takes the worse branch.
+        """
+        if isinstance(value, ast.IfExp):
+            borns = [self._rng_born(v, ctx)
+                     for v in (value.body, value.orelse)]
+            for born in ("unseeded", "const", "param"):
+                if born in borns:
+                    return born
+            return None
+        if isinstance(value, ast.Name):
+            if value.id in ctx.rng_locals:
+                return ctx.rng_locals[value.id]
+            return "param" if value.id in ctx.rng_params else None
+        if not (isinstance(value, ast.Call) and self.resolve(
+                _dotted(value.func)) in RNG_CONSTRUCTORS):
+            return None
+        for arg in ast.walk(value):
+            if isinstance(arg, ast.Name) and arg.id in ctx.params:
+                return "param"
+        return "const" if value.args or value.keywords else "unseeded"
+
     def _track_local_value(self, name: str, value, ctx: _FnCtx) -> None:
-        if isinstance(value, ast.Call):
+        born = self._rng_born(value, ctx)
+        if born is not None:
+            ctx.rng_locals[name] = born
+        elif isinstance(value, ast.Call):
             resolved = self.resolve(_dotted(value.func))
-            if resolved in RNG_CONSTRUCTORS:
-                # Provenance of the new Generator: fed by a parameter
-                # (good), a constant/derived seed, or nothing at all
-                # (fresh OS entropy — never replayable).
-                born = ("const" if value.args or value.keywords
-                        else "unseeded")
-                for arg in ast.walk(value):
-                    if (isinstance(arg, ast.Name)
-                            and arg.id in ctx.params):
-                        born = "param"
-                        break
-                ctx.rng_locals[name] = born
-            elif (resolved is not None
+            if (resolved is not None
                     and resolved.rpartition(".")[2][:1].isupper()):
                 # Only constructor-shaped calls type a local ("g =
                 # Hypergraph(...)"); "raw = os.environ.get(...)" must
                 # not make raw.isdigit() look like an environ access.
                 ctx.local_types[name] = resolved
         elif isinstance(value, ast.Name):
-            if value.id in ctx.rng_locals:
-                ctx.rng_locals[name] = ctx.rng_locals[value.id]
-            elif value.id in ctx.local_types:
+            if value.id in ctx.local_types:
                 ctx.local_types[name] = ctx.local_types[value.id]
 
     def _record_write(self, line: int, name: str, ctx: _FnCtx) -> None:
@@ -555,6 +613,10 @@ class Extractor:
             if isinstance(func, ast.Attribute):      # X(...).method etc.
                 return None, func.attr
             return None, ""
+        if isinstance(func, ast.Attribute):
+            ctor = self._lock_ctor(func.value, ctx)
+            if ctor is not None:
+                return f"{ctor}.{func.attr}", written
         head, _, rest = written.partition(".")
         if head in ("self", "cls") and ctx.cls and rest:
             return f"{self.module}.{ctx.cls}.{rest}", written
@@ -591,11 +653,11 @@ class Extractor:
                 if kw.arg == "target":
                     tgt = self._resolve_function_arg(kw.value, ctx)
                     if tgt is not None:
-                        self.summary.process_targets.append(tgt)
+                        self.summary.worker_targets.append(tgt)
         elif resolved in SPAWNERS and node.args:
             tgt = self._resolve_function_arg(node.args[0], ctx)
             if tgt is not None:
-                self.summary.spawn_targets.append(tgt)
+                self.summary.worker_targets.append(tgt)
 
         # Mutating method on module-level state (fork-safety fact).
         if (isinstance(node.func, ast.Attribute)
@@ -672,6 +734,9 @@ class Extractor:
                     and arg.id in self.summary.rng_globals):
                 draws.setdefault(ctx.qual, []).append(
                     [node.lineno, "global-arg", arg.id])
+            elif self._rng_born(arg, ctx) == "unseeded":
+                draws.setdefault(ctx.qual, []).append(
+                    [node.lineno, "unseeded-arg", ast.unparse(arg)])
 
 
 def extract_summary(sf: SourceFile) -> ModuleSummary:
@@ -681,19 +746,13 @@ def extract_summary(sf: SourceFile) -> ModuleSummary:
     task-lifecycle, shm-publish) run here too: their verdicts depend on
     this module's bytes alone, so embedding them in the summary lets
     the incremental cache replay them without rebuilding a single CFG.
-    The concurrency fact layer (:mod:`repro.analyze.concurrency`) is
-    collected here for the same reason — the whole-program
-    lock-discipline and fork-hygiene passes read cached facts, never
-    cached source.
     """
     from . import rules
-    from .concurrency import collect_concurrency
     from .passes import (dtype_bounds, resource_safety, shm_publish,
                          task_lifecycle)
 
     ex = Extractor(sf)
     summary = ex.run()
-    summary.concurrency = collect_concurrency(sf, ex)
     summary.local_findings = [
         [f.line, f.rule, f.message] for f in rules.run_local_rules(sf, ex)]
     summary.path_findings = [

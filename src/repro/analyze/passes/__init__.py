@@ -6,12 +6,9 @@ summary (the latter computed at extract time by
 :mod:`.resource_safety`, :mod:`.dtype_bounds`, :mod:`.task_lifecycle`
 and :mod:`.shm_publish` over per-function CFGs), runs the structural
 repo rules (:mod:`.structural`), builds one
-:class:`~repro.analyze.callgraph.CallGraph`, and hands it to the six
+:class:`~repro.analyze.callgraph.CallGraph`, and hands it to the four
 interprocedural dataflow passes (:mod:`.determinism`,
-:mod:`.fork_safety`, :mod:`.rng_provenance`, :mod:`.async_blocking`,
-:mod:`.lock_discipline`, :mod:`.fork_hygiene` — the last two consume
-the extract-time concurrency facts of
-:mod:`repro.analyze.concurrency`).
+:mod:`.fork_safety`, :mod:`.rng_provenance`, :mod:`.async_blocking`).
 
 ``RULE_META`` is the registry of every rule/pass id with its severity
 and one-line invariant; the CLI's ``--fail-on`` gate, the SARIF rule
@@ -25,8 +22,8 @@ from typing import Iterable
 from ..callgraph import CallGraph
 from ..engine import Finding
 from ..index import ModuleIndex
-from . import (async_blocking, determinism, fork_hygiene, fork_safety,
-               lock_discipline, rng_provenance, structural)
+from . import (async_blocking, determinism, fork_safety, rng_provenance,
+               structural)
 
 __all__ = ["RULE_META", "run_all"]
 
@@ -72,8 +69,9 @@ RULE_META: dict[str, tuple[str, str]] = {
         "on every CFG path, exception edges included"),
     "async-blocking": (
         "error",
-        "no blocking call is reachable from a serve/sim coroutine "
-        "except through to_thread/executor offloads"),
+        "no blocking call or sync lock acquire is reachable from a "
+        "serve/sim/mesh coroutine except through to_thread/executor "
+        "offloads"),
     "dtype-bounds": (
         "error",
         "int32 casts and accumulations are proven overflow-free under "
@@ -82,15 +80,6 @@ RULE_META: dict[str, tuple[str, str]] = {
         "error",
         "every create_task/ensure_future result is supervised, awaited, "
         "or cancelled on every path"),
-    "lock-discipline": (
-        "error",
-        "lock acquisition order is acyclic, sync locks stay off "
-        "coroutine paths, no attribute is guarded by mixed sync/async "
-        "locks, and probe/data paths never share an executor"),
-    "fork-hygiene": (
-        "error",
-        "fork worker entrypoints reset inherited signal state before "
-        "IPC and inherit no live lock or executor"),
     "shm-publish": (
         "error",
         "shared-memory buffers are never written after publish/handoff "
@@ -119,5 +108,3 @@ def run_all(index: ModuleIndex) -> Iterable[Finding]:
     yield from fork_safety.run(index, graph)
     yield from rng_provenance.run(index, graph)
     yield from async_blocking.run(index, graph)
-    yield from lock_discipline.run(index, graph)
-    yield from fork_hygiene.run(index, graph)

@@ -1,15 +1,17 @@
 """async-blocking — coroutines must not reach blocking calls.
 
 The serve subsystem runs a single asyncio event loop; the sim engine
-exposes async entrypoints of its own.  One synchronous blocking call
-anywhere in the transitive call tree of a coroutine — ``time.sleep``,
-a ``subprocess`` wait, sync file I/O, a blocking ``queue.Queue``
-operation, or an inline CPU-heavy kernel — stalls *every* in-flight
-request, which is precisely the failure mode the serve deadline
-machinery cannot see (the loop itself is wedged).
+and the mesh router expose async entrypoints of their own.  One
+synchronous blocking call anywhere in the transitive call tree of a
+coroutine — ``time.sleep``, a ``subprocess`` wait, sync file I/O, a
+blocking ``queue.Queue`` operation, a ``threading`` lock acquire
+(``with lock:`` included; see :data:`~repro.analyze.index.SYNC_LOCKS`),
+or an inline CPU-heavy kernel — stalls *every* in-flight request,
+which is precisely the failure mode the serve deadline machinery
+cannot see (the loop itself is wedged).
 
 Roots are all ``async def`` functions in ``src`` modules under
-``serve``/``sim`` path components.  The pass composes with the
+``serve``/``sim``/``mesh`` path components.  The pass composes with the
 project call graph (:class:`~repro.analyze.callgraph.CallGraph`):
 reachability is interprocedural, so a *sync* helper three calls deep
 still gets flagged — at the blocking call site, with the coroutine
@@ -29,7 +31,7 @@ from typing import Iterable
 from ..callgraph import CallGraph, pretty_node
 from ..dataflow import Reachability
 from ..engine import Finding
-from ..index import ModuleIndex
+from ..index import SYNC_LOCKS, ModuleIndex
 
 __all__ = ["RULE", "classify_blocking", "run"]
 
@@ -40,6 +42,7 @@ _EXACT = {
     "builtins.open": "synchronous file I/O",
     "queue.Queue.get": "blocking queue get",
     "queue.Queue.put": "blocking queue put",
+    **{f"{ctor}.acquire": "sync lock acquire" for ctor in SYNC_LOCKS},
 }
 
 _SUBPROCESS_PREFIX = "subprocess."

@@ -99,6 +99,8 @@ def _parse_annotations(sf: SourceFile) -> tuple[list, list]:
     """(annotations, malformed-findings) from comment tokens."""
     anns: list[_Annotation] = []
     bad: list[Finding] = []
+    if "bounds(" not in sf.text:     # every _ANN_RE match contains it
+        return anns, bad
     try:
         tokens = list(tokenize.generate_tokens(
             iter(sf.text.splitlines(keepends=True)).__next__))

@@ -1,15 +1,17 @@
 """Fork-safety pass: worker-reachable code must not touch shared state.
 
-``serve.pool`` and ``lab.executor`` hand work to forked child
-processes via ``Process(target=...)``.  After the fork the child owns
-a copy-on-write snapshot of the parent: mutating module-level state is
-at best silently lost, acquiring an inherited lock can deadlock on a
-holder that no longer runs, and an inherited asyncio event loop is
-attached to file descriptors the child must not drive.
+``serve.pool``, ``lab.executor`` and the partitioner hand work to
+forked child processes through :mod:`repro.core.workers`.  After the
+fork the child owns a copy-on-write snapshot of the parent: mutating
+module-level state is at best silently lost, acquiring an inherited
+lock can deadlock on a holder that no longer runs, and an inherited
+asyncio event loop is attached to file descriptors the child must not
+drive.
 
 The pass discovers worker entrypoints generically (every
-``Process(target=X)`` keyword in the analyzed set), walks the call
-graph from them, and flags
+``Process(target=X)`` keyword and the first argument of every
+``core.workers`` spawner in the analyzed set), walks the call graph
+from them, and flags
 
 * writes to module-level bindings (``global`` + assign, subscript or
   attribute stores, and mutating method calls such as ``.clear()`` /

@@ -18,11 +18,14 @@ The extractor types RNG values per function: parameters named
 ``rng``/``gen``/``generator``/``random_state`` (or annotated
 ``Generator``), locals assigned from ``default_rng(...)`` (classified
 by whether a parameter feeds the constructor), and module-level
-Generator bindings.  This pass walks the call graph from every
-registered runner (timing benches included — a hidden global draw is
-never acceptable) and flags draws whose provenance is ``global``,
-``global-arg`` (a module-global Generator passed as an argument), or
-``unseeded``.
+Generator bindings; ``g = rng if isinstance(rng, Generator) else
+default_rng(...)`` takes the worse of its two branches.  This pass
+walks the call graph from every registered runner (timing benches
+included — a hidden global draw is never acceptable) and flags draws
+whose provenance is ``global``, ``global-arg`` (a module-global
+Generator passed as an argument), ``unseeded``, or ``unseeded-arg``
+(an unseeded Generator passed as an argument: the callee's parameter
+looks seeded, so the draw itself cannot tell).
 """
 
 from __future__ import annotations
@@ -48,6 +51,10 @@ _BAD_KINDS = {
                  "without a seed",
                  "derive it from the runner's seed parameter so results "
                  "are replayable"),
+    "unseeded-arg": ("Generator '{name}' built by default_rng() without "
+                     "a seed passed as an argument",
+                     "derive it from the runner's seed parameter so "
+                     "results are replayable"),
 }
 
 

@@ -1,20 +1,16 @@
-"""TP/TN fixture pairs for the v4 concurrency passes.
+"""TP/TN fixture pairs for the concurrency checks.
 
-Every pass gets at least one fixture that MUST fire and the remediated
-twin that MUST stay clean.  The three PR 9 chaos-found bug classes are
-each pinned as a true positive:
-
-* a fork worker touching its pipe with inherited signal state
-  (``fork-hygiene``),
-* probe coroutines submitting to the data-path executor
-  (``lock-discipline``),
-* a fire-and-forget ``create_task`` (``task-lifecycle``).
+Every check gets at least one fixture that MUST fire and the remediated
+twin that MUST stay clean: ``task-lifecycle`` (a fire-and-forget
+``create_task``), ``shm-publish``, a ``threading`` lock acquired on a
+coroutine path (reported by ``async-blocking``), and the targets of
+:mod:`repro.core.workers` spawners as ``fork-safety`` roots.
 
 Plus the cross-cutting contracts: pragma suppression (and the
 unused-pragma complaint when the pragma suppresses nothing) and
-incremental-cache byte-identity for concurrency findings — both the
-extract-time ones replayed from ``path_findings`` and the check-stage
-ones recomputed from cached ``concurrency`` facts.
+incremental-cache byte-identity — both the extract-time findings
+replayed from ``path_findings`` and the check-stage ones recomputed
+from cached call records.
 """
 
 from __future__ import annotations
@@ -188,50 +184,24 @@ class TestShmPublish:
 
 
 class TestLockDiscipline:
-    CYCLE = (
+    """A sync lock on a coroutine path: ``with lock:`` is an acquire,
+    which ``async-blocking`` reports like any other blocking call."""
+
+    SYNC_ON_LOOP = (
         "import threading\n"
-        "class Pair:\n"
+        "class Svc:\n"
         "    def __init__(self):\n"
-        "        self._a = threading.Lock()\n"
-        "        self._b = threading.Lock()\n"
-        "    def one(self):\n"
-        "        with self._a:\n"
-        "            with self._b:\n"
-        "                pass\n"
-        "    def two(self):\n"
-        "        with self._b:\n"
-        "            with self._a:\n"
-        "                pass\n")
-
-    ORDERED = CYCLE.replace(
-        "        with self._b:\n"
-        "            with self._a:\n",
-        "        with self._a:\n"
-        "            with self._b:\n", 1)
-
-    def test_lock_order_cycle_fires_once(self, tmp_path):
-        fs = analyze_paths([write(tmp_path, "src/repro/mod.py",
-                                  self.CYCLE)])
-        assert rules_of(fs) == ["lock-discipline"]
-        assert "lock-order cycle" in fs[0].message
-
-    def test_consistent_order_is_clean(self, tmp_path):
-        assert self.ORDERED != self.CYCLE
-        p = write(tmp_path, "src/repro/mod.py", self.ORDERED)
-        assert analyze_paths([p]) == []
+        "        self._lock = threading.Lock()\n"
+        "    async def handle(self):\n"
+        "        with self._lock:\n"
+        "            return 1\n")
 
     def test_sync_lock_on_coroutine_path_fires(self, tmp_path):
-        p = write(tmp_path, "src/repro/sim/mod.py",
-                  "import threading\n"
-                  "class Svc:\n"
-                  "    def __init__(self):\n"
-                  "        self._lock = threading.Lock()\n"
-                  "    async def handle(self):\n"
-                  "        with self._lock:\n"
-                  "            return 1\n")
+        p = write(tmp_path, "src/repro/sim/mod.py", self.SYNC_ON_LOOP)
         fs = analyze_paths([p])
-        assert rules_of(fs) == ["lock-discipline"]
-        assert "blocks the whole event loop" in fs[0].message
+        assert rules_of(fs) == ["async-blocking"]
+        assert "sync lock acquire" in fs[0].message
+        assert "self._lock" in fs[0].message
         assert fs[0].line == 6
 
     def test_async_lock_on_coroutine_path_is_clean(self, tmp_path):
@@ -261,138 +231,11 @@ class TestLockDiscipline:
                   "        return 2\n")
         assert analyze_paths([p]) == []
 
-    def test_mixed_guard_of_one_attribute_fires(self, tmp_path):
-        p = write(tmp_path, "src/repro/mod.py",
-                  "import asyncio\n"
-                  "import threading\n"
-                  "class Mixed:\n"
-                  "    def __init__(self):\n"
-                  "        self._tlock = threading.Lock()\n"
-                  "        self._alock = asyncio.Lock()\n"
-                  "        self._count = 0\n"
-                  "    def bump(self):\n"
-                  "        with self._tlock:\n"
-                  "            self._count = self._count + 1\n"
-                  "    async def abump(self):\n"
-                  "        async with self._alock:\n"
-                  "            self._count = self._count + 1\n")
-        fs = analyze_paths([p])
-        assert rules_of(fs) == ["lock-discipline"]
-        assert "do not exclude each other" in fs[0].message
-
-    PROBE_SHARED = (               # PR 9 bug class: starved probes
-        "from concurrent.futures import ThreadPoolExecutor\n"
-        "class Node:\n"
-        "    def __init__(self):\n"
-        "        self._io = ThreadPoolExecutor(2)\n"
-        "    async def probe_loop(self):\n"
-        "        self._io.submit(print)\n"
-        "    async def handle(self):\n"
-        "        self._io.submit(print)\n")
-
-    PROBE_SPLIT = (                # the PR 9 remediation
-        "from concurrent.futures import ThreadPoolExecutor\n"
-        "class Node:\n"
-        "    def __init__(self):\n"
-        "        self._io = ThreadPoolExecutor(2)\n"
-        "        self._probe_io = ThreadPoolExecutor(1)\n"
-        "    async def probe_loop(self):\n"
-        "        self._probe_io.submit(print)\n"
-        "    async def handle(self):\n"
-        "        self._io.submit(print)\n")
-
-    def test_probe_sharing_data_executor_fires(self, tmp_path):
-        p = write(tmp_path, "src/repro/mesh/mod.py", self.PROBE_SHARED)
-        fs = analyze_paths([p])
-        assert rules_of(fs) == ["lock-discipline"]
-        assert "starve" in fs[0].message
-
-    def test_dedicated_probe_executor_is_clean(self, tmp_path):
-        p = write(tmp_path, "src/repro/mesh/mod.py", self.PROBE_SPLIT)
-        assert analyze_paths([p]) == []
-
-
-class TestForkHygiene:
-    UNRESET = (                    # PR 9 bug class: inherited signals
-        "import multiprocessing as mp\n"
-        "def worker(conn):\n"
-        "    msg = conn.recv()\n"
-        "    conn.send(msg)\n"
-        "def spawn():\n"
-        "    parent, child = mp.Pipe()\n"
-        "    proc = mp.Process(target=worker, args=(child,))\n"
-        "    proc.start()\n"
-        "    return parent, proc\n")
-
-    RESET = UNRESET.replace(
-        "def worker(conn):\n",
-        "from repro.core.workers import reset_inherited_signals\n"
-        "def worker(conn):\n"
-        "    reset_inherited_signals()\n", 1)
-
-    def test_unreset_worker_fires_per_ipc_touch(self, tmp_path):
-        fs = analyze_paths([write(tmp_path, "src/repro/mod.py",
-                                  self.UNRESET)])
-        assert rules_of(fs) == ["fork-hygiene", "fork-hygiene"]
-        assert {f.line for f in fs} == {3, 4}
-        assert "never calls reset_inherited_signals" in fs[0].message
-
-    def test_reset_first_is_clean(self, tmp_path):
-        assert self.RESET != self.UNRESET
-        p = write(tmp_path, "src/repro/mod.py", self.RESET)
-        assert analyze_paths([p]) == []
-
-    def test_reset_on_one_branch_only_fires(self, tmp_path):
-        # must-dominate, not may-reach: a branch that skips the reset
-        # leaves the touch unguarded
-        p = write(tmp_path, "src/repro/mod.py",
-                  "import multiprocessing as mp\n"
-                  "from repro.core.workers import "
-                  "reset_inherited_signals\n"
-                  "def worker(conn, fast):\n"
-                  "    if fast:\n"
-                  "        reset_inherited_signals()\n"
-                  "    conn.recv()\n"
-                  "def spawn(conn):\n"
-                  "    mp.Process(target=worker, args=(conn, True))"
-                  ".start()\n")
-        fs = analyze_paths([tmp_path / "src"])
-        assert rules_of(fs) == ["fork-hygiene"]
-        assert "before the reset at line 5" in fs[0].message
-
-    def test_live_lock_across_fork_fires(self, tmp_path):
-        p = write(tmp_path, "src/repro/mod.py",
-                  "import multiprocessing as mp\n"
-                  "import threading\n"
-                  "class Owner:\n"
-                  "    def __init__(self):\n"
-                  "        self._lock = threading.Lock()\n"
-                  "    def fork(self):\n"
-                  "        mp.Process(target=helper, "
-                  "args=(self._lock,)).start()\n"
-                  "def helper(x):\n"
-                  "    pass\n")
-        fs = analyze_paths([p])
-        assert rules_of(fs) == ["fork-hygiene"]
-        assert "live lock" in fs[0].message
-        assert "self._lock" in fs[0].message
-
-    def test_plain_data_across_fork_is_clean(self, tmp_path):
-        p = write(tmp_path, "src/repro/mod.py",
-                  "import multiprocessing as mp\n"
-                  "def helper(payload):\n"
-                  "    pass\n"
-                  "def fork(n):\n"
-                  "    payload = {'n': n}\n"
-                  "    mp.Process(target=helper, "
-                  "args=(payload,)).start()\n")
-        assert analyze_paths([p]) == []
-
 
 class TestPrimitiveSpawns:
     """Targets of ``repro.core.workers`` spawners are worker entrypoints:
-    fork-safety follows them, and their bootstrap's reset covers
-    fork-hygiene's reset-before-IPC rule."""
+    fork-safety follows them, and a target touching its own pipe is
+    fine (the primitive's bootstrap resets inherited signals first)."""
 
     def test_module_write_in_start_target_fires_fork_safety(self, tmp_path):
         p = write(tmp_path, "src/repro/mod.py",
@@ -449,11 +292,8 @@ class TestIncrementalIdentity:
         "src/repro/mod_task.py": TestTaskLifecycle.FIRE_AND_FORGET,
         # extract-time: shm-publish (path_findings replay)
         "src/repro/mod_shm.py": TestShmPublish.TP,
-        # check-stage: lock-discipline from cached concurrency facts
-        "src/repro/mod_lock.py": TestLockDiscipline.CYCLE,
-        "src/repro/mesh/mod_exec.py": TestLockDiscipline.PROBE_SHARED,
-        # check-stage: fork-hygiene from cached concurrency facts
-        "src/repro/mod_fork.py": TestForkHygiene.UNRESET,
+        # check-stage: a sync lock acquire from cached call records
+        "src/repro/mesh/mod_lock.py": TestLockDiscipline.SYNC_ON_LOOP,
     }
 
     def plant(self, root: Path) -> Path:
@@ -476,5 +316,4 @@ class TestIncrementalIdentity:
         assert (rendered(cold) == rendered(first) == rendered(second)
                 == rendered(parallel))
         got = {f.rule for f in cold.findings}
-        assert got == {"task-lifecycle", "shm-publish",
-                       "lock-discipline", "fork-hygiene"}
+        assert got == {"task-lifecycle", "shm-publish", "async-blocking"}

@@ -313,6 +313,49 @@ class TestRngProvenance:
         [f] = findings_of("rng-provenance", analyze_paths(paths))
         assert "passed as an argument" in f.message
 
+    def test_unseeded_generator_passed_down_fires(self, tmp_path):
+        # the callee's parameter looks seeded: only the call site can tell
+        paths = build(tmp_path, {
+            "src/repro/expreg.py": (
+                "from repro.lab.spec import ExperimentSpec, register\n"
+                'register(ExperimentSpec(name="E1", module="repro.rngmod",'
+                ' func="run"))\n'),
+            "src/repro/rngmod.py": (
+                "import numpy as np\n"
+                "def run(*, seed):\n"
+                "    rng = np.random.default_rng()\n"
+                "    return helper(rng) + helper(np.random.default_rng())\n"
+                "def helper(rng):\n"
+                "    return [rng.random()]\n"),
+        })
+        fs = findings_of("rng-provenance", analyze_paths(paths))
+        assert [f.line for f in fs] == [4, 4]
+        assert all("without a seed passed as an argument" in f.message
+                   for f in fs)
+        assert sorted(f.message.split(" built")[0] for f in fs) == [
+            "Generator 'np.random.default_rng()'", "Generator 'rng'"]
+
+    def test_unseeded_isinstance_fallback_fires(self, tmp_path):
+        paths = build(tmp_path, {
+            "src/repro/expreg.py": (
+                "from repro.lab.spec import ExperimentSpec, register\n"
+                'register(ExperimentSpec(name="E1", module="repro.rngmod",'
+                ' func="run"))\n'),
+            "src/repro/rngmod.py": (
+                "import numpy as np\n"
+                "def run(*, seed, rng=None):\n"
+                "    gen = (rng if isinstance(rng, np.random.Generator)\n"
+                "           else np.random.default_rng())\n"
+                "    return [gen.random()]\n"),
+        })
+        [f] = findings_of("rng-provenance", analyze_paths(paths))
+        assert "Generator 'gen' built by default_rng() without a seed" \
+            in f.message
+        seeded = paths[-1].read_text().replace("default_rng()",
+                                               "default_rng(seed)")
+        paths[-1].write_text(seeded)
+        assert analyze_paths(paths) == []
+
     def test_seed_threaded_generator_is_clean(self, tmp_path):
         paths = build(tmp_path, {
             "src/repro/expreg.py": (

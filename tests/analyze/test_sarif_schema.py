@@ -67,15 +67,15 @@ class TestEmittedDocumentsValidate:
               "        shared['edge_ptr'][0] = 1\n"
               "    finally:\n"
               "        shared.close()\n")
-        write(tmp_path, "src/repro/mod_fork.py",
-              "import multiprocessing as mp\n"
-              "def worker(conn):\n"
-              "    conn.recv()\n"
-              "def spawn(conn):\n"
-              "    mp.Process(target=worker, args=(conn,)).start()\n")
+        write(tmp_path, "src/repro/mesh/mod_lock.py",
+              "import threading\n"
+              "_LOCK = threading.Lock()\n"
+              "async def handle():\n"
+              "    with _LOCK:\n"
+              "        return 1\n")
         findings = analyze_paths([tmp_path / "src"])
         assert {f.rule for f in findings} >= {
-            "task-lifecycle", "shm-publish", "fork-hygiene"}
+            "task-lifecycle", "shm-publish", "async-blocking"}
         assert any(f.flow for f in findings)
         doc = to_sarif(findings)
         assert any("codeFlows" in r for r in doc["runs"][0]["results"])

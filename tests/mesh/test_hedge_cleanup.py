@@ -3,14 +3,15 @@
 Regression tests for the task-lifecycle dogfood fixes: every attempt
 task spawned by ``_dispatch_hedged`` is cancelled (and its exception
 retrieved) when the dispatch is abandoned — deadline, caller
-cancellation, or both attempts failing — and the probe loop survives
+cancellation, or both attempts failing — the probe loop survives
 surprise exceptions instead of dying and leaving down shards down
-forever.
+forever, and a health probe never queues behind data calls.
 """
 
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import pytest
 
@@ -120,6 +121,41 @@ class TestHedgeCleanup:
             await asyncio.sleep(0)
             assert cancelled == ["s0"]
             assert router.metrics.counters["hedge_cancelled"] == 1
+        asyncio.run(main())
+
+
+class TestProbeExecutor:
+    def test_probe_returns_while_data_calls_hold_every_io_thread(self):
+        # a probe queued behind saturated data calls times out and marks
+        # a live shard down; probes run on their own executor
+        async def main():
+            router = _bare_router(io_threads=4)
+            release = threading.Event()
+            held: list[str] = []
+
+            def fake_request(method, path, body=None):
+                if path != "/healthz":
+                    held.append(path)
+                    release.wait(30)
+                return 200, {"path": path}, {}
+
+            for pool in router._pools.values():
+                pool.request = fake_request
+            threads = max(4, router.config.io_threads)
+            data = [asyncio.create_task(router._shard_call(
+                        "s0", "POST", "/v1/jobs", {}, timeout_s=30.0))
+                    for _ in range(threads)]
+            try:
+                while len(held) < threads:
+                    await asyncio.sleep(0.005)
+                status, payload, _ = await router._shard_call(
+                    "s0", "GET", "/healthz", timeout_s=0.5, probe=True)
+                assert (status, payload) == (200, {"path": "/healthz"})
+                assert "s0" not in router._down
+            finally:
+                release.set()
+                await asyncio.gather(*data, return_exceptions=True)
+                await router.stop()
         asyncio.run(main())
 
 
