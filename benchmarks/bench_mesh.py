@@ -27,11 +27,12 @@ driven over real sockets (nothing mocked):
 ``streaming``
     The same million-pin CSR graph ingested twice through the router:
     once as inline JSON, once over the binary ``POST /v1/stream``
-    relay into shared memory.  Ack latency (upload + parse, no solve)
-    is the measure; gate: streaming >= 3x faster, and the two paths
-    agree on the result labels.
+    relay.  Ack latency (upload + parse, no solve) is the measure;
+    gate: streaming >= 3x faster, and the two paths agree on the
+    result labels.
 
-Teardown reaps ``/dev/shm`` and gates on nothing surviving it.
+Teardown gates on no ``/dev/shm`` segment surviving it, SIGKILLed
+shards included: nothing unlinks their leftovers before the check.
 
 Writes ``benchmarks/BENCH_mesh.json``; the committed baseline is
 checked by ``scripts/check_bench_regression.py --suite mesh``.
@@ -120,7 +121,7 @@ def ring_phase(keys: int, shards: int) -> dict:
 # ----------------------------------------------------------------------
 def chaos_phase(cache_dir: str, *, shards: int, total: int,
                 distinct: int, kills: int, clients: int,
-                quiet: bool) -> tuple[dict, list[str]]:
+                quiet: bool) -> dict:
     counter = {"next": 0}
     lock = threading.Lock()
     acked = completed = lost = unacked_errors = 0
@@ -219,7 +220,6 @@ def chaos_phase(cache_dir: str, *, shards: int, total: int,
         ctrl.join()
         wall = time.perf_counter() - t0
         counters = dict(mesh.router.metrics.counters)
-    leaked = list(mesh.leaked_segments)
     result = {
         "requests": total,
         "shards": shards,
@@ -243,13 +243,13 @@ def chaos_phase(cache_dir: str, *, shards: int, total: int,
         print(f"  chaos: {acked} acked, {lost} lost, "
               f"{result['throughput_jps']} jps, "
               f"requeued={result['router_requeued']}")
-    return result, leaked
+    return result
 
 
 # ----------------------------------------------------------------------
 # Phase: cache failover across a dead shard
 # ----------------------------------------------------------------------
-def cache_failover_phase(cache_dir: str) -> tuple[dict, list[str]]:
+def cache_failover_phase(cache_dir: str) -> dict:
     with mesh_up(2, cache_dir, probe_interval_s=0.1) as mesh:
         with mesh.client() as c:
             first = c.partition(small_job(987_001, mode="sync"))
@@ -258,13 +258,13 @@ def cache_failover_phase(cache_dir: str) -> tuple[dict, list[str]]:
             t0 = time.perf_counter()
             again = c.partition(small_job(987_001, mode="sync"))
             failover_s = time.perf_counter() - t0
-    return ({
+    return {
         "owner": owner,
         "resubmit_shard": again.get("shard"),
         "resubmit_cached": bool(again.get("cached")),
         "same_result": again.get("result") == first.get("result"),
         "failover_s": round(failover_s, 4),
-    }, list(mesh.leaked_segments))
+    }
 
 
 # ----------------------------------------------------------------------
@@ -329,7 +329,7 @@ def hedging_phase(base_dir: Path, *, jobs: int, slow_s: float,
 # Phase: streaming vs JSON ingestion through the router
 # ----------------------------------------------------------------------
 def streaming_phase(cache_dir: str, *, pins: int,
-                    quiet: bool) -> tuple[dict, list[str]]:
+                    quiet: bool) -> dict:
     edge_size = 4
     m = pins // edge_size
     n = max(100, pins // 10)
@@ -340,7 +340,7 @@ def streaming_phase(cache_dir: str, *, pins: int,
     with mesh_up(1, cache_dir, client_timeout_s=600.0) as mesh:
         with mesh.client(timeout_s=600) as c:
             # binary path first: ack returns once the body is resident
-            # in shared memory and the solve is queued
+            # in the shard's arrays and the solve is queued
             t0 = time.perf_counter()
             handle = c.stream(req, graph=g)
             stream_ack_s = time.perf_counter() - t0
@@ -358,7 +358,7 @@ def streaming_phase(cache_dir: str, *, pins: int,
             done2 = handle if handle.get("status") == "done" \
                 else c.wait(handle["job_id"], timeout_s=600)
             assert done2["status"] == "done", done2
-    return ({
+    return {
         "pins": int(m * edge_size),
         "n": int(n),
         "m": int(m),
@@ -366,7 +366,7 @@ def streaming_phase(cache_dir: str, *, pins: int,
         "json_ack_s": round(json_ack_s, 4),
         "ingest_speedup": round(json_ack_s / max(stream_ack_s, 1e-9), 2),
         "results_agree": done2["result"]["labels"] == labels,
-    }, list(mesh.leaked_segments))
+    }
 
 
 # ----------------------------------------------------------------------
@@ -382,7 +382,6 @@ def run(*, shards: int = 3, total: int = 100_000, distinct: int = 256,
         "kills": kills, "clients": clients, "hedge_jobs": hedge_jobs,
         "slow_s": slow_s, "stream_pins": stream_pins,
     }}
-    leaked: list[str] = []
     with tempfile.TemporaryDirectory(prefix="mesh-bench-") as td:
         base = Path(td)
         if not quiet:
@@ -390,15 +389,13 @@ def run(*, shards: int = 3, total: int = 100_000, distinct: int = 256,
         results["ring"] = ring_phase(total, shards)
         if not quiet:
             print("phase: chaos")
-        results["chaos"], leak = chaos_phase(
+        results["chaos"] = chaos_phase(
             str(base / "chaos"), shards=shards, total=total,
             distinct=distinct, kills=kills, clients=clients, quiet=quiet)
-        leaked += leak
         if not quiet:
             print("phase: cache_failover")
-        results["cache_failover"], leak = cache_failover_phase(
+        results["cache_failover"] = cache_failover_phase(
             str(base / "failover"))
-        leaked += leak
         if not quiet:
             print("phase: hedging")
         results["hedging"] = hedging_phase(base, jobs=hedge_jobs,
@@ -407,9 +404,8 @@ def run(*, shards: int = 3, total: int = 100_000, distinct: int = 256,
                                            quiet=quiet)
         if not quiet:
             print("phase: streaming")
-        results["streaming"], leak = streaming_phase(
+        results["streaming"] = streaming_phase(
             str(base / "stream"), pins=stream_pins, quiet=quiet)
-        leaked += leak
     survivors = sorted(glob.glob("/dev/shm/repro_stream_*")
                        + glob.glob("/dev/shm/repro_shm_*"))
     results["summary"] = {
@@ -425,7 +421,6 @@ def run(*, shards: int = 3, total: int = 100_000, distinct: int = 256,
         "unhedged_p99_ms": results["hedging"]["unhedged"]["p99_ms"],
         "hedged_p99_ms": results["hedging"]["hedged"]["p99_ms"],
         "ingest_speedup": results["streaming"]["ingest_speedup"],
-        "segments_reaped_after_sigkill": len(leaked),
         "shm_leaked_after_teardown": len(survivors),
     }
     return results

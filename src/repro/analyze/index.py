@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 #: Bump to invalidate every cached summary (rule/pass/format changes).
-ENGINE_VERSION = "analyze-v5.0"
+ENGINE_VERSION = "analyze-v5.1"
 
 #: Constructors whose result is an explicit, caller-owned Generator.
 RNG_CONSTRUCTORS = {"numpy.random.default_rng", "numpy.random.Generator"}
@@ -743,13 +743,12 @@ def extract_summary(sf: SourceFile) -> ModuleSummary:
     """One-walk extraction: facts + file-local rule findings.
 
     The per-function CFG passes (resource-safety, dtype-bounds,
-    task-lifecycle, shm-publish) run here too: their verdicts depend on
+    task-lifecycle) run here too: their verdicts depend on
     this module's bytes alone, so embedding them in the summary lets
     the incremental cache replay them without rebuilding a single CFG.
     """
     from . import rules
-    from .passes import (dtype_bounds, resource_safety, shm_publish,
-                         task_lifecycle)
+    from .passes import dtype_bounds, resource_safety, task_lifecycle
 
     ex = Extractor(sf)
     summary = ex.run()
@@ -759,8 +758,7 @@ def extract_summary(sf: SourceFile) -> ModuleSummary:
         [f.line, f.rule, f.message, [[ln, note] for (_p, ln, note) in f.flow]]
         for f in (*resource_safety.analyze(sf, ex),
                   *dtype_bounds.analyze(sf, ex),
-                  *task_lifecycle.analyze(sf, ex),
-                  *shm_publish.analyze(sf, ex))]
+                  *task_lifecycle.analyze(sf, ex))]
     return summary
 
 

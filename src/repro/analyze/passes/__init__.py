@@ -3,8 +3,8 @@
 :func:`run_all` is the single entry point the engine calls: it replays
 the file-local and CFG/path-sensitive findings embedded in each
 summary (the latter computed at extract time by
-:mod:`.resource_safety`, :mod:`.dtype_bounds`, :mod:`.task_lifecycle`
-and :mod:`.shm_publish` over per-function CFGs), runs the structural
+:mod:`.resource_safety`, :mod:`.dtype_bounds` and :mod:`.task_lifecycle`
+over per-function CFGs), runs the structural
 repo rules (:mod:`.structural`), builds one
 :class:`~repro.analyze.callgraph.CallGraph`, and hands it to the four
 interprocedural dataflow passes (:mod:`.determinism`,
@@ -80,10 +80,6 @@ RULE_META: dict[str, tuple[str, str]] = {
         "error",
         "every create_task/ensure_future result is supervised, awaited, "
         "or cancelled on every path"),
-    "shm-publish": (
-        "error",
-        "shared-memory buffers are never written after publish/handoff "
-        "to another process"),
     "pragma-missing-reason": (
         "warning",
         "every allow(...) pragma carries a written reason"),

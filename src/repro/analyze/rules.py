@@ -197,8 +197,9 @@ _SERVE_AWAIT_OK = {
     # already with_deadline-bounded, so awaiting them is as safe as
     # awaiting with_deadline itself
     "read_head", "read_body", "read_response", "write_response",
-    # repro.serve.stream ingest: internally deadline-bounded per read
-    "ingest_stream",
+    # repro.serve.stream ingest and frame head reader: internally
+    # deadline-bounded per read
+    "ingest_stream", "read_stream_head",
 }
 
 

@@ -24,7 +24,6 @@ from .hyperdag import (
 )
 from .hypergraph import Hypergraph
 from .partition import BLUE, RED, Partition, lambdas, part_sizes, part_weights
-from .shm import SharedArrays, SharedCSR
 from .validation import PartitionReport, validate_partition
 
 __all__ = [
@@ -37,8 +36,6 @@ __all__ = [
     "Partition",
     "PartitionReport",
     "RED",
-    "SharedArrays",
-    "SharedCSR",
     "all_parts_nonempty_guaranteed",
     "balance_threshold",
     "connectivity_cost",

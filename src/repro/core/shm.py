@@ -128,46 +128,6 @@ class SharedArrays:
         return sa
 
     @classmethod
-    def create_empty(cls, fields: dict[str, tuple[tuple[int, ...], str]],
-                     *, name: str | None = None) -> "SharedArrays":
-        """Allocate a zero-filled segment sized for ``fields``.
-
-        This is the streaming-ingest entry point: the caller gets the
-        layout up front and fills the arrays incrementally (chunks off
-        a socket), instead of handing over finished arrays as
-        :meth:`create` requires.  With ``name`` the segment is created
-        under that exact name — :class:`FileExistsError` propagates so
-        a caller racing another process for a content-addressed name
-        can attach to the winner instead.  POSIX guarantees the fresh
-        segment reads as zeros.
-        """
-        normalised = {fname: (tuple(shape), dtype)
-                      for fname, (shape, dtype) in fields.items()}
-        total = 0
-        for shape, dtype in normalised.values():
-            total = _align(total)
-            total += (int(np.prod(shape, dtype=np.int64))
-                      * np.dtype(dtype).itemsize)
-        if name is None:
-            try:
-                shm = _new_segment(total)
-            except OSError as exc:
-                raise SharedMemoryError(
-                    f"cannot create {total}-byte shared segment: {exc}"
-                ) from exc
-        else:
-            try:
-                shm = shared_memory.SharedMemory(name=name, create=True,
-                                                 size=max(total, 1))
-            except FileExistsError:
-                raise                # caller attaches to the winner
-            except OSError as exc:
-                raise SharedMemoryError(
-                    f"cannot create shared segment {name!r}: {exc}"
-                ) from exc
-        return cls(shm, normalised, owner=True)
-
-    @classmethod
     def attach(cls, descriptor: dict) -> "SharedArrays":
         """Attach to a segment created elsewhere, by descriptor."""
         try:
@@ -276,31 +236,6 @@ class SharedCSR:
             fields["node_ptr"] = node_ptr
             fields["node_edges"] = node_edges
         return cls(SharedArrays.create(fields), graph.n, graph.name)
-
-    @classmethod
-    def allocate(cls, n: int, m: int, pins: int, *,
-                 name: str | None = None) -> "SharedCSR":
-        """Empty CSR segment for ``n`` nodes, ``m`` edges, ``pins`` pins.
-
-        Built for streaming ingest: ``edge_ptr``/``edge_pins`` start
-        zeroed and are filled in place; weights default to 1.0.  The
-        extra one-element ``ready`` field is the cross-process
-        publication flag — a writer sets it to 1 only after the arrays
-        are complete and digest-verified, so a process attaching to a
-        content-addressed (``name``-d) segment can tell a finished
-        upload from a half-filled one.
-        """
-        fields = {
-            "edge_ptr": ((int(m) + 1,), "<i8"),
-            "edge_pins": ((int(pins),), "<i8"),
-            "node_weights": ((int(n),), "<f8"),
-            "edge_weights": ((int(m),), "<f8"),
-            "ready": ((1,), "<i8"),
-        }
-        arrays = SharedArrays.create_empty(fields, name=name)
-        arrays["node_weights"][...] = 1.0
-        arrays["edge_weights"][...] = 1.0
-        return cls(arrays, n, None)
 
     @classmethod
     def attach(cls, descriptor: dict) -> "SharedCSR":

@@ -14,7 +14,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from ..serve.client import ServeClient
@@ -82,10 +82,6 @@ class MeshHandle:
 
     supervisor: ShardSupervisor
     router_thread: RouterThread
-    #: /dev/shm segments still present after teardown (filled by
-    #: :func:`mesh_up` on exit; non-empty only when SIGKILLed shards
-    #: orphaned segments — the graceful path must leave this empty)
-    leaked_segments: list = field(default_factory=list)
 
     @property
     def router(self) -> Router:
@@ -127,8 +123,3 @@ def mesh_up(count: int, cache_dir: str, *,
             with contextlib.suppress(Exception):
                 router_thread.stop()
         supervisor.stop_all()
-        # /dev/shm leak check: anything a SIGKILLed shard orphaned is
-        # reaped and reported; a purely graceful run must leak nothing
-        leaked = supervisor.reap_orphan_segments()
-        if router_thread is not None:
-            handle.leaked_segments.extend(leaked)

@@ -47,7 +47,6 @@ import concurrent.futures
 import itertools
 import json
 import signal
-import struct
 import threading
 import time
 from collections import deque
@@ -58,22 +57,19 @@ from ..errors import (DeadlineExceededError, JobNotFoundError, MeshError,
                       NoShardAvailableError, QueueFullError, ReproError,
                       ServeClientError, ServeProtocolError)
 from ..serve.client import ServeClient
-from ..serve.http import (HttpError, content_length, read_body, read_head,
+from ..serve.http import (MAX_BODY, HttpError, read_body, read_head,
                           read_response, write_response)
 from ..serve.jobs import FINAL_STATUSES, with_deadline
 from ..serve.metrics import Metrics
 from ..serve.protocol import parse_job_request
 from ..serve.runner import job_key
-from ..serve.stream import (MAGIC, STREAM_CONTENT_TYPE, request_from_header,
-                            stream_graph_spec)
+from ..serve.stream import (READ_DEADLINE_S, STREAM_CONTENT_TYPE,
+                            read_stream_head, stream_graph_spec)
 from .ring import HashRing
 from .shards import ShardSpec
 
 __all__ = ["MeshConfig", "MeshJob", "Router", "run_router"]
 
-_MAX_BODY = 64 * 1024 * 1024
-_HEADER_MAX_BYTES = 1 << 20
-_READ_DEADLINE_S = 30.0
 _RELAY_CHUNK = 64 * 1024
 _LATENCY_WINDOW = 512
 
@@ -120,8 +116,11 @@ class _ClientPool:
     Every router->shard call runs in an executor worker; the pool
     hands each worker a persistent connection and takes it back after,
     so concurrent calls multiplex over a handful of sockets instead of
-    reconnecting per request (the keep-alive satellite, router side).
-    Only ever touched from worker threads — never from the event loop.
+    reconnecting per request.  Only ever touched from threads — the io
+    executors' workers, and :meth:`Router.stop` closes it through
+    ``asyncio.to_thread`` — never on the event loop itself.  A call
+    that finishes after :meth:`close` closes its client instead of
+    pooling it.
     """
 
     def __init__(self, spec: ShardSpec, timeout_s: float) -> None:
@@ -129,6 +128,7 @@ class _ClientPool:
         self._timeout_s = timeout_s
         self._lock = threading.Lock()
         self._idle: list[ServeClient] = []
+        self._closed = False
 
     def request(self, method: str, path: str,
                 body: dict | None = None) -> tuple[int, Any, dict]:
@@ -142,11 +142,15 @@ class _ClientPool:
             client.close()
             raise
         with self._lock:
-            self._idle.append(client)
+            if not self._closed:
+                self._idle.append(client)
+                return result
+        client.close()              # the pool closed while this call ran
         return result
 
     def close(self) -> None:
         with self._lock:
+            self._closed = True
             clients, self._idle = self._idle, []
         for client in clients:
             client.close()
@@ -206,10 +210,12 @@ class Router:
         if self._server is not None:
             self._server.close()
             await with_deadline(self._server.wait_closed(), 5.0)
-        for pool in self._pools.values():
-            pool.close()
         self._io.shutdown(wait=False, cancel_futures=True)
         self._probe_io.shutdown(wait=False, cancel_futures=True)
+        # after the executors stop taking work: a call still running
+        # closes its own client when it returns (see _ClientPool)
+        for pool in self._pools.values():
+            await with_deadline(asyncio.to_thread(pool.close), 5.0)
 
     async def serve_forever(self) -> None:
         """Run until SIGTERM/SIGINT; then shut down gracefully."""
@@ -258,7 +264,7 @@ class Router:
                             reader, headers)
                     else:
                         body = await read_body(reader, headers,
-                                               max_body=_MAX_BODY)
+                                               max_body=MAX_BODY)
                         status, payload, extra = await self._route(
                             method, target, body)
                 except HttpError as exc:
@@ -697,46 +703,11 @@ class Router:
     # ------------------------------------------------------------------
     async def _handle_stream(self, reader: asyncio.StreamReader,
                              headers: dict) -> tuple[int, dict, dict]:
-        total = content_length(headers, max_body=_MAX_BODY)
-        if total is None:
-            raise HttpError(411, "stream requests need a Content-Length")
-        consumed = 0
-
-        async def take(n: int) -> bytes:
-            nonlocal consumed
-            consumed += n
-            if consumed > total:
-                raise HttpError(400, "stream frame exceeds Content-Length",
-                                close=True)
-            return await with_deadline(reader.readexactly(n),
-                                       _READ_DEADLINE_S)
-
-        prefix = bytearray()
-        magic = await take(len(MAGIC))
-        prefix += magic
-        if magic != MAGIC:
-            raise HttpError(400, "bad stream magic (expected RMSH1)",
-                            close=True)
-        raw_len = await take(4)
-        prefix += raw_len
-        (hlen,) = struct.unpack("<I", raw_len)
-        if hlen > _HEADER_MAX_BYTES:
-            raise HttpError(400, "stream header too large", close=True)
-        raw_header = await take(hlen)
-        prefix += raw_header
+        frame = await read_stream_head(reader, headers)
         try:
-            header = json.loads(raw_header)
-        except ValueError:
-            raise HttpError(400, "stream header is not valid JSON",
-                            close=True) from None
-
-        def keyed():
-            request = request_from_header(header)
-            return request, job_key(request)
-
-        try:
-            request, key = await with_deadline(
-                asyncio.get_running_loop().run_in_executor(self._io, keyed),
+            key = await with_deadline(
+                asyncio.get_running_loop().run_in_executor(
+                    self._io, job_key, frame.request),
                 self.config.admit_timeout_s)
         except ReproError as exc:
             raise HttpError(400, str(exc), close=True) from exc
@@ -753,19 +724,18 @@ class Router:
             head = (f"POST /v1/stream HTTP/1.1\r\n"
                     f"Host: {spec.host}:{spec.port}\r\n"
                     f"Content-Type: {STREAM_CONTENT_TYPE}\r\n"
-                    f"Content-Length: {total}\r\n"
+                    f"Content-Length: {frame.total}\r\n"
                     f"Connection: close\r\n\r\n")
-            shard_writer.write(head.encode() + bytes(prefix))
+            shard_writer.write(head.encode() + frame.head)
             await shard_writer.drain()
-            remaining = total - len(prefix)
+            remaining = frame.total - frame.consumed
             while remaining > 0:
                 chunk = await with_deadline(
                     reader.read(min(_RELAY_CHUNK, remaining)),
-                    _READ_DEADLINE_S)
+                    READ_DEADLINE_S)
                 if not chunk:
                     raise HttpError(400, "client closed mid-stream",
                                     close=True)
-                consumed += len(chunk)
                 remaining -= len(chunk)
                 shard_writer.write(chunk)
                 await shard_writer.drain()
@@ -792,7 +762,7 @@ class Router:
             raise HttpError(502, "undecodable shard response to stream "
                                  "relay") from None
         self.metrics.inc("stream_relays")
-        self.metrics.inc("stream_relay_bytes", by=float(total))
+        self.metrics.inc("stream_relay_bytes", by=float(frame.total))
         extra = {}
         if "retry-after" in shard_headers:
             extra["Retry-After"] = shard_headers["retry-after"]
@@ -802,11 +772,9 @@ class Router:
             # content address — a requeue can re-run it as a JSON submit
             # (cache hit if the job finished; an explicit 400 if the
             # payload truly died with the shard)
-            csr = header.get("csr", {})
-            body = dict(header.get("request", {}))
+            body = dict(frame.header.get("request", {}))
             body["graph"] = stream_graph_spec(
-                header.get("digest", ""), csr.get("n", 0),
-                csr.get("m", 0), csr.get("pins", 0))
+                **frame.request.params["graph"]["stream"])
             job = self._register(sid, key, body, payload)
             payload = dict(payload, job_id=job.rid)
         return status, payload if isinstance(payload, dict) \

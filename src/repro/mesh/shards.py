@@ -144,31 +144,6 @@ class ShardSupervisor:
                 os.kill(child.proc.pid, signal.SIGKILL)
                 child.proc.wait(timeout=10)
 
-    def reap_orphan_segments(self) -> list[str]:
-        """Unlink shared-memory segments orphaned by SIGKILLed shards.
-
-        A gracefully stopped shard unlinks everything it owns
-        (``SegmentRegistry.close_all``); a SIGKILLed one cannot, and
-        POSIX shm segments outlive their creator.  Only safe once every
-        shard is down — while any shard lives, a name in ``/dev/shm``
-        may be its parked-idle segment.  Returns the reaped names so
-        the harness teardown can assert the *graceful* path leaked
-        nothing.
-        """
-        shm_root = Path("/dev/shm")
-        if any(c.proc.poll() is None for c in self._children.values()) \
-                or not shm_root.is_dir():
-            return []
-        reaped: list[str] = []
-        for prefix in ("repro_stream_", "repro_shm_"):
-            for path in sorted(shm_root.glob(prefix + "*")):
-                try:
-                    path.unlink()
-                except OSError:
-                    continue
-                reaped.append(path.name)
-        return reaped
-
     def __enter__(self) -> "ShardSupervisor":
         return self
 

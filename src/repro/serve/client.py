@@ -146,7 +146,7 @@ class ServeClient:
         either a :class:`~repro.core.hypergraph.Hypergraph` or the raw
         ``(n, ptr, pins)`` arrays.  The body streams over the same
         keep-alive connection as everything else (chunked client-side;
-        the server writes it straight into shared memory), and the
+        the server writes it straight into the graph's arrays), and the
         usual stale-socket retry applies — the encoder is re-run per
         attempt, so a reconnect resends a complete frame.
         """

@@ -24,6 +24,7 @@ from .jobs import with_deadline
 
 __all__ = [
     "HttpError",
+    "MAX_BODY",
     "REASONS",
     "read_body",
     "read_head",
@@ -33,6 +34,9 @@ __all__ = [
 
 #: Per-read deadline while parsing a request head or framed body.
 HEADER_DEADLINE_S = 30.0
+
+#: Largest request body a shard or the router accepts.
+MAX_BODY = 64 * 1024 * 1024
 
 REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
            404: "Not Found", 405: "Method Not Allowed",

@@ -26,22 +26,26 @@ this (see :mod:`repro.analyze.rules`).
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import itertools
+import json
 import shutil
 import tempfile
 import time
 import uuid
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Awaitable, TypeVar
+from typing import Any, Awaitable, Mapping, TypeVar
 
+from ..core.hypergraph import Hypergraph
 from ..errors import (DeadlineExceededError, JobNotFoundError,
-                      QueueFullError, ServeProtocolError)
+                      QueueFullError, ReproError, ServeProtocolError)
 from ..lab.cache import ResultCache
 from ..lab.journal import RunJournal
 from .metrics import Metrics
 from .pool import BatchMember, MemberOutcome, run_batch
-from .protocol import JobRequest
+from .protocol import JobRequest, build_graph
 from .runner import job_key
 
 __all__ = ["Job", "JobManager", "with_deadline"]
@@ -54,6 +58,15 @@ FINAL_STATUSES = ("done", "error", "timeout", "cancelled")
 _MAX_ATTEMPTS = 2                  # initial dispatch + one requeue
 _RETAIN_JOBS = 1024                # finished jobs kept for polling
 _RETAIN_S = 600.0
+
+#: Parsed graphs kept for reuse by later jobs (streamed uploads and
+#: large inline specs); a job holds its own graph until it resolves.
+_RETAIN_GRAPHS = 4
+
+#: Inline graph specs at or above this size are parsed once in the
+#: server process and inherited by the batch worker; smaller ones are
+#: parsed by the worker itself.
+_PARENT_PARSE_MIN_BYTES = 1 << 16
 
 
 async def with_deadline(awaitable: Awaitable[T],
@@ -71,6 +84,23 @@ async def with_deadline(awaitable: Awaitable[T],
     except asyncio.TimeoutError:
         raise DeadlineExceededError(
             f"deadline of {seconds:g}s exceeded") from None
+
+
+def _spec_payload_bytes(spec: Mapping) -> int:
+    """Rough transport size of an inline graph spec (0 = not inline)."""
+    if "hgr" in spec:
+        return len(spec["hgr"])
+    if "csr" in spec:
+        return 8 * len(spec["csr"]["pins"])
+    if "edges" in spec:
+        return 8 * sum(len(e) for e in spec["edges"])
+    return 0                            # generator / stream: already tiny
+
+
+def _parse_with_incidence(params: Mapping) -> Hypergraph:
+    graph = build_graph(params)
+    graph.incidence()               # built once here, inherited by workers
+    return graph
 
 
 @dataclass
@@ -93,6 +123,9 @@ class Job:
     latency_s: float = 0.0          # submit → resolve, queue included
     attempts: int = 0
     finished_ts: float | None = None
+    #: Graph the batch worker inherits (see JobManager._graph_for);
+    #: dropped when the job resolves.
+    graph: Hypergraph | None = None
 
     @property
     def done(self) -> bool:
@@ -136,8 +169,6 @@ class JobManager:
         metrics: Metrics | None = None,
         debug_slow_s: float = 0.0,
     ) -> None:
-        # local import: stream.py needs with_deadline from this module
-        from .stream import SegmentRegistry
         self.workers = max(1, int(workers))
         self.batch_max = max(1, int(batch_max))
         self.batch_window_s = max(0.0, float(batch_window_s))
@@ -148,10 +179,10 @@ class JobManager:
         self.journal = journal
         self.metrics = metrics if metrics is not None else Metrics()
         self.debug_slow_s = max(0.0, float(debug_slow_s))
-        #: Refcounted shared-memory segments (streamed graphs + hoisted
-        #: inline specs).  Owned here so its lifetime matches the jobs
-        #: that reference it; emptied at stop().
-        self.segments = SegmentRegistry()
+        #: Parsed graphs by content address ("csr:<digest>" for streamed
+        #: uploads, "spec:<sha256>" for inline specs), least recently
+        #: used first.  Written only by this process's event loop.
+        self._graphs: OrderedDict[str, Hypergraph] = OrderedDict()
         self.jobs: dict[str, Job] = {}
         self._queue: asyncio.Queue = asyncio.Queue()
         self._queued_count = 0      # admission depth (queue + coalescing)
@@ -190,16 +221,20 @@ class JobManager:
         for t in tasks:
             try:
                 await with_deadline(asyncio.shield(t), 5.0)
-            except BaseException:  # analyze: allow(silent-except) — shutdown must drain every task even if some died screaming; their workers were already killed by run_batch's finally
+            except BaseException:  # analyze: allow(silent-except) — shutdown must drain every task even if some died screaming; run_batch kills a dispatch's worker when the dispatch is cancelled
                 pass
-        self.segments.close_all()
         shutil.rmtree(self._scratch, ignore_errors=True)
 
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
-    def submit(self, request: JobRequest) -> Job:
-        """Admit one request: cache hit, queue, or shed (429)."""
+    def submit(self, request: JobRequest,
+               graph: Hypergraph | None = None) -> Job:
+        """Admit one request: cache hit, queue, or shed (429).
+
+        ``graph`` is the parsed graph of a streamed upload; the job
+        holds it until it resolves.
+        """
         self._purge_finished()
         key = job_key(request)
         job_id = f"j-{next(self._seq):06d}-{uuid.uuid4().hex[:8]}"
@@ -222,8 +257,7 @@ class JobManager:
                           cached=True)
             return job
         self.metrics.inc("cache_misses")
-        if (request.shm_ref is None
-                and "stream" in request.params.get("graph", {})):
+        if graph is None and "stream" in request.params.get("graph", {}):
             # a by-digest resubmission can only be answered from the
             # cache: the binary payload is not on this shard
             raise ServeProtocolError(
@@ -234,6 +268,7 @@ class JobManager:
             raise QueueFullError(
                 f"admission queue full ({self.queue_limit} queued); "
                 "retry later")
+        job.graph = graph
         self.jobs[job_id] = job
         self._queued_count += 1
         self._queue.put_nowait(job)
@@ -387,20 +422,18 @@ class JobManager:
                            if self.cache is not None
                            and job.request.use_cache
                            else self._scratch / f"{job.key}.json")
-                shm_desc = (self.segments.descriptor(job.request.shm_ref)
-                            if job.request.shm_ref is not None else None)
                 member = BatchMember(
                     key=job.id, seed=job.request.seed,
                     params=job.request.params, outfile=outfile,
                     errfile=self._scratch / f"{job.id}.err.json",
-                    deadline_mono=job.deadline_mono,
-                    shm_desc=shm_desc)
+                    deadline_mono=job.deadline_mono)
                 members[job.id] = (member, job)
+            for member, job in members.values():
+                member.graph = job.graph = await self._graph_for(job)
             self._journal_batch(batch)
             await with_deadline(
                 run_batch([m for m, _ in members.values()],
                           on_outcome=self._on_outcome,
-                          registry=self.segments,
                           debug_slow_s=self.debug_slow_s),
                 self._batch_budget(batch))
         except DeadlineExceededError:
@@ -428,6 +461,46 @@ class JobManager:
                                   error=f"dispatch failed: {exc}")
         finally:
             self._slots.release()
+
+    async def _graph_for(self, job: Job) -> Hypergraph | None:
+        """The graph ``job``'s batch worker inherits, or None.
+
+        A streamed job brought its own.  A large inline spec is parsed
+        here once, with its incidence, and kept in the graph cache, so
+        batch members and back-to-back batches over one spec share the
+        parse.  Small specs, and specs that fail to parse here, are left
+        to the worker, which reports the per-job error.
+        """
+        spec = job.request.params["graph"]
+        if (job.graph is not None
+                or _spec_payload_bytes(spec) < _PARENT_PARSE_MIN_BYTES):
+            return job.graph
+        ref = "spec:" + hashlib.sha256(
+            json.dumps(spec, sort_keys=True).encode()).hexdigest()
+        graph = self.cached_graph(ref)
+        if graph is None:
+            try:
+                graph = await asyncio.to_thread(  # analyze: allow(serve-timeout) — CPU-bound parse of an admitted spec (bounded by MAX_PINS and the body limit); a thread cannot be cancelled, so a deadline would only orphan it
+                    _parse_with_incidence, job.request.params)
+            except (ReproError, MemoryError):
+                return None
+            self.cache_graph(ref, graph)
+        return graph
+
+    def cached_graph(self, ref: str) -> Hypergraph | None:
+        """The parsed graph cached under ``ref`` (now most recent), or None."""
+        graph = self._graphs.get(ref)
+        if graph is not None:
+            self._graphs.move_to_end(ref)
+        return graph
+
+    def cache_graph(self, ref: str, graph: Hypergraph) -> None:
+        """Keep ``graph`` under ``ref``, evicting the least recent past
+        the bound (jobs keep their own reference to an evicted graph)."""
+        self._graphs[ref] = graph
+        self._graphs.move_to_end(ref)
+        while len(self._graphs) > _RETAIN_GRAPHS:
+            self._graphs.popitem(last=False)
 
     def _batch_budget(self, batch: list[Job]) -> float:
         """Hard wall-clock cap for one dispatch (backstop, not policy)."""
@@ -479,10 +552,7 @@ class JobManager:
         job.cached = cached
         job.finished_ts = time.time()
         job.latency_s = time.monotonic() - job.submitted_mono
-        if job.request.shm_ref is not None:
-            # the job's pin on its streamed segment ends with the job;
-            # the registry parks (and eventually evicts) the segment
-            self.segments.release(job.request.shm_ref)
+        job.graph = None            # finished jobs stay in the table
         self.metrics.inc(f"jobs_{status}")
         if status == "done":
             self.metrics.observe_latency(job.latency_s)

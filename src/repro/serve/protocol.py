@@ -77,9 +77,6 @@ class JobRequest:
     mode: str = "auto"
     use_cache: bool = True
     est_pins: int = 0               # admission-time size estimate
-    #: Segment-registry reference for a streamed graph (transport
-    #: state, never part of the cache key; see repro.serve.stream).
-    shm_ref: str | None = None
 
     @property
     def op(self) -> str:
@@ -316,23 +313,17 @@ def parse_job_request(obj: Any) -> JobRequest:
 def build_graph(params: Mapping[str, Any]):
     """Materialise the hypergraph named by canonical solve params.
 
-    Runs inside worker processes; raises :class:`ReproError` subclasses
-    on anything malformed (an hgr upload is fully validated here).
+    Runs inside batch workers, and in the server process for large
+    inline specs (see :class:`~repro.serve.jobs.JobManager`); raises
+    :class:`ReproError` subclasses on anything malformed (an hgr upload
+    is fully validated here).
     """
     from ..core.hypergraph import Hypergraph
 
     spec = params["graph"]
-    if "shm" in spec:
-        # parent hoisted the graph into shared memory (pool._hoist_graphs):
-        # attach by descriptor for a zero-copy view.  No close here — the
-        # returned graph's arrays alias the mapping, which lives until the
-        # batch worker exits; the parent owns (and unlinks) the segment.
-        from ..core.shm import SharedCSR
-        return SharedCSR.attach(spec["shm"]).hypergraph()
     if "stream" in spec:
-        # a streamed graph reaches workers only as a rewritten {"shm"}
-        # spec (the segment registry holds it while the job is in
-        # flight); seeing the bare content address here means the
+        # a streamed graph reaches workers only as the parsed graph its
+        # job holds; seeing the bare content address here means the
         # payload is gone — e.g. a cache-miss resubmission by digest
         from ..errors import ServeProtocolError
         raise ServeProtocolError(

@@ -16,7 +16,8 @@ from ..lab.cache import task_key
 from ..lab.spec import ExperimentSpec
 from .protocol import JobRequest, build_graph
 
-__all__ = ["SERVE_SPEC", "job_key", "solve", "warm_solver_modules"]
+__all__ = ["SERVE_SPEC", "job_key", "solve", "solve_graph",
+           "warm_solver_modules"]
 
 
 def warm_solver_modules() -> None:
@@ -178,7 +179,17 @@ def solve(*, seed: int, **params: Any) -> dict:
     input, oversized exact instance); the pool maps those to a per-job
     error result rather than a worker crash.
     """
-    graph = build_graph(params)
+    return solve_graph(None, seed=seed, params=params)
+
+
+def solve_graph(graph, *, seed: int, params: Mapping[str, Any]) -> dict:
+    """:func:`solve` on a graph the server process already built.
+
+    A batch worker inherits a parsed graph for streamed uploads and
+    large inline specs; ``graph`` None parses ``params["graph"]`` here.
+    """
+    if graph is None:
+        graph = build_graph(params)
     op = params["op"]
     if op == "partition":
         result = _solve_partition(graph, seed=seed, params=params)

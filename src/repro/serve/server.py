@@ -9,7 +9,7 @@ Routes::
 
     POST   /v1/partition    solve (mode: sync | async | auto)
     POST   /v1/jobs         always async: returns a job handle
-    POST   /v1/stream       binary CSR ingest straight into shared memory
+    POST   /v1/stream       binary CSR ingest straight into numpy arrays
     GET    /v1/jobs         recent job summaries
     GET    /v1/jobs/{id}    poll one job (result included when done)
     DELETE /v1/jobs/{id}    cancel a queued job
@@ -18,9 +18,10 @@ Routes::
 
 ``/v1/stream`` is the exception to "JSON in, JSON out": its body is
 the length-prefixed frame format of :mod:`repro.serve.stream`, read
-incrementally off the socket into a shared-memory segment instead of
-being materialised here (the framing helpers live in
-:mod:`repro.serve.http` so the mesh router can relay the same bytes).
+incrementally off the socket into the graph's arrays instead of being
+materialised here (the framing helpers live in :mod:`repro.serve.http`
+and the frame head reader in :mod:`repro.serve.stream`, so the mesh
+router can relay the same bytes).
 
 Error mapping: :class:`ServeProtocolError` → 400,
 :class:`JobNotFoundError` → 404, oversized body → 413,
@@ -43,7 +44,7 @@ from ..errors import (DeadlineExceededError, JobNotFoundError,
                       QueueFullError, ReproError, ServeProtocolError)
 from ..lab.cache import ResultCache
 from ..lab.journal import RunJournal
-from .http import HttpError, read_body, read_head, write_response
+from .http import MAX_BODY, HttpError, read_body, read_head, write_response
 from .jobs import Job, JobManager, with_deadline
 from .metrics import Metrics
 from .protocol import parse_job_request
@@ -54,8 +55,6 @@ __all__ = ["ServeConfig", "Server", "run_server"]
 #: Sync requests whose estimated size is below this run in "auto" mode
 #: without a handle round-trip; bigger ones get a 202 + job handle.
 _AUTO_SYNC_PINS = 200_000
-
-_MAX_BODY = 64 * 1024 * 1024
 
 
 @dataclass
@@ -174,7 +173,7 @@ class Server:
                             reader, headers)
                     else:
                         body = await read_body(reader, headers,
-                                               max_body=_MAX_BODY)
+                                               max_body=MAX_BODY)
                         status, payload, extra = await self._route(
                             method, target, body)
                 except HttpError as exc:
@@ -268,10 +267,9 @@ class Server:
 
     async def _handle_stream(self, reader: asyncio.StreamReader,
                              headers: dict) -> tuple[int, dict, dict]:
-        """Binary CSR ingest: segment-backed submit, always async."""
+        """Binary CSR ingest: array-backed submit, always async."""
         job = await ingest_stream(reader, headers, manager=self.manager,
-                                  metrics=self.metrics,
-                                  max_body=_MAX_BODY)
+                                  metrics=self.metrics)
         status = 200 if job.done else 202
         return status, self._tag(job.describe()), {}
 

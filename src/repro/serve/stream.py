@@ -1,18 +1,19 @@
-"""Binary CSR streaming: wire codec, shared-segment registry, ingest.
+"""Binary CSR streaming: wire codec, frame head reader, ingest.
 
 The JSON graph specs in :mod:`repro.serve.protocol` materialise every
 pin as a Python ``int`` twice (client ``json.dumps``, server
 ``json.loads`` + per-int validation) — at 10^6 pins that is seconds of
 pure serialisation before a worker sees the graph.  ``POST /v1/stream``
 replaces that path: the client sends the CSR arrays as length-prefixed
-raw ``int64`` chunks and the server writes them *directly into a
-shared-memory segment* as they arrive off the socket.  The worker then
-attaches the segment zero-copy; no JSON, no Python-int round trip, no
-second copy of the pin list anywhere.
+raw ``int64`` chunks and the server writes them *directly into two
+preallocated numpy arrays* as they arrive off the socket.  The job then
+holds the graph built over those arrays, and the forked batch worker
+inherits it; no JSON, no Python-int round trip, no second copy of the
+pin list anywhere.
 
 Wire format (one HTTP request body, ``Content-Length``-framed)::
 
-    magic   b"RMSH1\\n"
+    magic   b"RMSH1\n"
     header  u32 LE length, then JSON:
               {"request": {...job fields, no "graph"...},
                "csr": {"n": int, "m": int, "pins": int},
@@ -24,43 +25,41 @@ Wire format (one HTTP request body, ``Content-Length``-framed)::
             boundaries are arbitrary — the digest is over the logical
             array bytes, so it is chunking-independent)
 
+:func:`read_stream_head` reads and checks everything up to the first
+chunk; the shard (:func:`ingest_stream`) and the mesh router (which
+forwards the bytes it read to the ring owner) both use it.
+
 Cache identity: the canonical graph spec is
 ``{"stream": {"digest", "n", "m", "pins"}}`` — content-addressed like
 every other spec, so a repeat upload (or a later JSON poll of the same
-key) is a cache hit on any shard.  The shared-memory descriptor itself
-is transport state, never part of the key.
-
-Segments are content-addressed too: a finished upload lives under
-``repro_stream_<digest[:24]>`` with a ``ready`` flag set only after the
-arrays are complete and digest-verified, so N shard processes on one
-host ingesting the same graph share *one* parent-owned segment — the
-second shard attaches instead of allocating (the cross-shard half of
-the refcounting story; :class:`SegmentRegistry` is the in-process
-half).
+key) is a cache hit on any shard.  The parsed graph itself is
+transport state, never part of the key; the job manager keeps a few
+recent ones under ``"csr:<digest>"``, so a re-upload of a resident
+graph is hashed but not stored again.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import struct
-from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Any, Iterator, Mapping
 
 import numpy as np
 
-from ..core.shm import SharedCSR
-from ..errors import ReproError, ServeProtocolError, SharedMemoryError
-from .http import HttpError, content_length
+from ..core.hypergraph import Hypergraph
+from ..errors import InvalidHypergraphError, ServeProtocolError
+from .http import MAX_BODY, HttpError, content_length
 from .jobs import with_deadline
 from .protocol import MAX_PINS, JobRequest, parse_job_request
 
 __all__ = [
-    "SegmentRegistry",
+    "StreamFrame",
     "csr_digest",
     "encode_stream",
     "ingest_stream",
+    "read_stream_head",
     "request_from_header",
 ]
 
@@ -69,14 +68,8 @@ STREAM_CONTENT_TYPE = "application/x-repro-stream"
 CHUNK_PTR = 0
 CHUNK_PINS = 1
 
-_STREAM_SEG_PREFIX = "repro_stream_"
 _HEADER_MAX_BYTES = 1 << 20
-_READ_DEADLINE_S = 30.0
-
-#: Zero-reference segments kept resident for reuse before eviction.
-#: Bounds idle /dev/shm usage to a handful of graphs per process; the
-#: registry's ``close_all`` (server shutdown) clears even those.
-_RETAIN_IDLE_SEGMENTS = 4
+READ_DEADLINE_S = 30.0
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +137,8 @@ def request_from_header(header: Mapping[str, Any]) -> JobRequest:
     """Validate a stream frame header into a :class:`JobRequest`.
 
     Shared by the shard (ingest) and the router (routing key): both
-    must derive the *same* cache key from the same header bytes.
+    must derive the *same* cache key from the same header bytes.  A pin
+    count over ``MAX_PINS`` is a 413 before anything is allocated.
     """
     if not isinstance(header, Mapping):
         raise ServeProtocolError("stream header must be a JSON object")
@@ -159,6 +153,9 @@ def request_from_header(header: Mapping[str, Any]) -> JobRequest:
                 f"stream header 'csr.{field}' must be a non-negative "
                 f"integer, got {v!r}")
         dims[field] = v
+    if dims["pins"] > MAX_PINS:
+        raise HttpError(413, f"{dims['pins']} pins exceeds the server "
+                             f"limit of {MAX_PINS}", close=True)
     digest = header.get("digest")
     if (not isinstance(digest, str) or len(digest) != 64
             or any(c not in "0123456789abcdef" for c in digest)):
@@ -177,246 +174,116 @@ def request_from_header(header: Mapping[str, Any]) -> JobRequest:
 
 
 # ---------------------------------------------------------------------------
-# Segment registry (one per server process)
+# Frame head (shard ingest and router relay)
 # ---------------------------------------------------------------------------
 
-class SegmentRegistry:
-    """Refcounted shared-memory segments, keyed by content address.
+@dataclass
+class StreamFrame:
+    """One ``/v1/stream`` body whose head has been read and checked."""
 
-    Keys are ``"csr:<digest>"`` (streamed uploads) and
-    ``"spec:<sha256 of canonical JSON>"`` (hoisted inline specs); the
-    prefixes keep the two content-address spaces from colliding.  A
-    segment is *live* while any in-flight job references it, then
-    parked in a small idle LRU so back-to-back batches over the same
-    graph reuse one segment and one parse; eviction (and
-    :meth:`close_all` at shutdown) closes and — if this process owns
-    the segment — unlinks it.  Single-threaded by design: every caller
-    runs on the server's event loop.
+    reader: Any
+    total: int                      # Content-Length
+    consumed: int = 0
+    head: bytes = b""               # magic, header length and header
+    header: Any = None
+    request: JobRequest | None = None
+
+    async def take(self, n: int) -> bytes:
+        """Read ``n`` more body bytes within the Content-Length."""
+        self.consumed += n
+        if self.consumed > self.total:
+            raise HttpError(400, "stream frame exceeds Content-Length",
+                            close=True)
+        return await with_deadline(self.reader.readexactly(n),
+                                   READ_DEADLINE_S)
+
+
+async def read_stream_head(reader, headers: Mapping[str, str]
+                           ) -> StreamFrame:
+    """Read a stream body up to its first chunk and check the head.
+
+    Every failure is an ``HttpError(close=True)``: the connection's
+    byte position is unrecoverable once a body is abandoned half-read.
     """
-
-    def __init__(self, retain: int = _RETAIN_IDLE_SEGMENTS) -> None:
-        self._retain = max(0, int(retain))
-        self._live: dict[str, list] = {}        # ref -> [handle, refcount]
-        self._idle: OrderedDict[str, SharedCSR] = OrderedDict()
-
-    def __contains__(self, ref: str) -> bool:
-        return ref in self._live or ref in self._idle
-
-    def __len__(self) -> int:
-        return len(self._live) + len(self._idle)
-
-    def adopt(self, ref: str, shared: SharedCSR) -> None:
-        """Take ownership of ``shared`` under ``ref`` (zero refs)."""
-        if ref in self:
-            # content-addressed duplicate (two concurrent uploads of
-            # the same graph through different code paths): keep the
-            # registered one, drop the newcomer
-            shared.close()
-            shared.unlink()
-            return
-        self._idle[ref] = shared
-        self._evict()
-
-    def acquire(self, ref: str) -> bool:
-        """Pin ``ref`` for one in-flight use; False if unknown."""
-        if ref in self._live:
-            self._live[ref][1] += 1
-            return True
-        if ref in self._idle:
-            self._live[ref] = [self._idle.pop(ref), 1]
-            return True
-        return False
-
-    def release(self, ref: str) -> None:
-        """Drop one reference; last one parks the segment in the LRU."""
-        entry = self._live.get(ref)
-        if entry is None:
-            return
-        entry[1] -= 1
-        if entry[1] <= 0:
-            del self._live[ref]
-            self._idle[ref] = entry[0]
-            self._evict()
-
-    def descriptor(self, ref: str) -> dict | None:
-        """Picklable attach descriptor for a registered segment."""
-        if ref in self._live:
-            return self._live[ref][0].descriptor()
-        if ref in self._idle:
-            return self._idle[ref].descriptor()
-        return None
-
-    def _evict(self) -> None:
-        while len(self._idle) > self._retain:
-            _ref, shared = self._idle.popitem(last=False)
-            shared.close()
-            shared.unlink()
-
-    def close_all(self) -> None:
-        """Shutdown: close + unlink everything, refcounts be damned."""
-        for entry in self._live.values():
-            entry[0].close()
-            entry[0].unlink()
-        self._live.clear()
-        for shared in self._idle.values():
-            shared.close()
-            shared.unlink()
-        self._idle.clear()
+    total = content_length(headers, max_body=MAX_BODY)
+    if total is None:
+        raise HttpError(411, "stream requests need a Content-Length",
+                        close=True)
+    frame = StreamFrame(reader, total)
+    magic = await frame.take(len(MAGIC))
+    if magic != MAGIC:
+        raise HttpError(400, "bad stream magic (expected RMSH1)",
+                        close=True)
+    raw_len = await frame.take(4)
+    (hlen,) = struct.unpack("<I", raw_len)
+    if hlen > _HEADER_MAX_BYTES:
+        raise HttpError(400, "stream header too large", close=True)
+    raw_header = await frame.take(hlen)
+    try:
+        frame.header = json.loads(raw_header)
+    except ValueError:
+        raise HttpError(400, "stream header is not valid JSON",
+                        close=True) from None
+    try:
+        frame.request = request_from_header(frame.header)
+    except ServeProtocolError as exc:
+        raise HttpError(400, str(exc), close=True) from exc
+    frame.head = magic + raw_len + raw_header
+    return frame
 
 
 # ---------------------------------------------------------------------------
 # Server-side ingest
 # ---------------------------------------------------------------------------
 
-def _csr_fields(n: int, m: int, pins: int) -> dict:
-    """Field table matching :meth:`SharedCSR.allocate` exactly."""
-    return {"edge_ptr": [[m + 1], "<i8"],
-            "edge_pins": [[pins], "<i8"],
-            "node_weights": [[n], "<f8"],
-            "edge_weights": [[m], "<f8"],
-            "ready": [[1], "<i8"]}
-
-
-def segment_name(digest: str) -> str:
-    return _STREAM_SEG_PREFIX + digest[:24]
-
-
-def _attach_ready(digest: str, n: int, m: int, pins: int) -> SharedCSR | None:
-    """Attach a finished upload published by another process, or None."""
-    descriptor = {"arrays": {"seg": segment_name(digest),
-                             "fields": _csr_fields(n, m, pins)},
-                  "n": n, "name": None}
-    try:
-        shared = SharedCSR.attach(descriptor)
-    except SharedMemoryError:
-        return None
-    if int(shared["ready"][0]) != 1:
-        # another writer is mid-fill; don't wait on it — the caller
-        # falls back to a private segment
-        shared.close()
-        return None
-    return shared
-
-
-def _allocate_segment(digest: str, n: int, m: int,
-                      pins: int) -> tuple[SharedCSR, bool]:
-    """(handle, created) — create the content-addressed segment or
-    attach to a ready one; races fall back to an anonymous segment."""
-    try:
-        return SharedCSR.allocate(n, m, pins,
-                                  name=segment_name(digest)), True
-    except FileExistsError:
-        ready = _attach_ready(digest, n, m, pins)
-        if ready is not None:
-            return ready, False
-        # raced an unfinished writer (or a stale leftover under the
-        # name): a private unnamed segment always works
-        return SharedCSR.allocate(n, m, pins), True
-
-
 async def ingest_stream(reader, headers: Mapping[str, str], *,
-                        manager, metrics, max_body: int):
+                        manager, metrics):
     """Consume one ``/v1/stream`` body; return the submitted Job.
 
     The body is read incrementally: array chunks go straight into the
-    shared segment (or into the digest check when the segment already
-    exists).  Any framing violation raises ``HttpError(close=True)``
-    because the connection's byte position is unrecoverable; errors
-    after the full body was consumed keep the connection alive.
+    graph's arrays (or only into the digest check when the manager
+    already holds the graph).  Framing violations close the connection;
+    errors after the full body was consumed keep it alive.
     """
-    total = content_length(headers, max_body=max_body)
-    if total is None:
-        raise HttpError(411, "stream requests need a Content-Length")
-    consumed = 0
-
-    async def take(n: int) -> bytes:
-        nonlocal consumed
-        consumed += n
-        if consumed > total:
-            raise HttpError(400, "stream frame exceeds Content-Length",
-                            close=True)
-        return await with_deadline(reader.readexactly(n),
-                                   _READ_DEADLINE_S)
-
-    magic = await take(len(MAGIC))
-    if magic != MAGIC:
-        raise HttpError(400, "bad stream magic (expected RMSH1)",
-                        close=True)
-    (hlen,) = struct.unpack("<I", await take(4))
-    if hlen > _HEADER_MAX_BYTES:
-        raise HttpError(400, "stream header too large", close=True)
-    try:
-        header = json.loads(await take(hlen))
-    except ValueError:
-        raise HttpError(400, "stream header is not valid JSON",
-                        close=True) from None
-    try:
-        request = request_from_header(header)
-    except ReproError as exc:
-        raise HttpError(400, str(exc), close=True) from exc
-    spec = request.params["graph"]["stream"]
+    frame = await read_stream_head(reader, headers)
+    spec = frame.request.params["graph"]["stream"]
     n, m, pins = spec["n"], spec["m"], spec["pins"]
-    digest = spec["digest"]
-    if pins > MAX_PINS:
-        raise HttpError(413, f"{pins} pins exceeds the server limit of "
-                             f"{MAX_PINS}", close=True)
-    ref = f"csr:{digest}"
-    registry = manager.segments
-
-    shared: SharedCSR | None = None
-    created = False
-    if not registry.acquire(ref):
-        reuse = _attach_ready(digest, n, m, pins)
-        if reuse is not None:
-            shared, created = reuse, False
-        else:
-            shared, created = _allocate_segment(digest, n, m, pins)
+    ref = f"csr:{spec['digest']}"
+    graph = manager.cached_graph(ref)
+    arrays = None
+    if graph is None:
+        arrays = {CHUNK_PTR: np.empty(m + 1, dtype=np.int64),
+                  CHUNK_PINS: np.empty(pins, dtype=np.int64)}
+    await _consume_chunks(frame, arrays, m=m, pins=pins,
+                          digest=spec["digest"])
+    if frame.consumed != frame.total:
+        raise HttpError(400, "trailing bytes after stream frame",
+                        close=True)
+    if graph is None:
+        ptr, pin_arr = arrays[CHUNK_PTR], arrays[CHUNK_PINS]
+        _validate_csr(ptr, pin_arr, n=n, pins=pins)
+        try:
+            graph = Hypergraph.from_csr(n, ptr, pin_arr, copy=False)
+        except InvalidHypergraphError as exc:
+            raise HttpError(400, f"stream CSR rejected: {exc}") from exc
+        manager.cache_graph(ref, graph)
     else:
-        metrics.inc("stream_segment_reuse")
-
-    try:
-        await _consume_chunks(take, shared if created else None,
-                              n=n, m=m, pins=pins, digest=digest)
-        if consumed != total:
-            raise HttpError(400, "trailing bytes after stream frame",
-                            close=True)
-        if created:
-            _validate_csr(shared, n=n, pins=pins)
-            shared["ready"][0] = 1
-    except BaseException:
-        if shared is not None:
-            shared.close()
-            shared.unlink()
-        registry.release(ref)
-        raise
-    if shared is not None:
-        if not created:
-            metrics.inc("stream_segment_reuse")
-        registry.adopt(ref, shared)
-        registry.acquire(ref)
-
+        metrics.inc("stream_graph_reuse")
     metrics.inc("stream_ingests")
-    metrics.inc("stream_bytes", by=float(total))
-    request = dataclasses.replace(request, shm_ref=ref)
-    try:
-        return manager.submit(request)
-    except BaseException:
-        registry.release(ref)        # e.g. QueueFullError -> 429
-        raise
+    metrics.inc("stream_bytes", by=float(frame.total))
+    return manager.submit(frame.request, graph=graph)
 
 
-async def _consume_chunks(take, shared: SharedCSR | None, *, n: int,
+async def _consume_chunks(frame: StreamFrame, arrays: dict | None, *,
                           m: int, pins: int, digest: str) -> None:
-    """Read the chunk sequence, hashing (and writing, if ``shared``)."""
+    """Read the chunk sequence, hashing (and storing, if ``arrays``)."""
     need = {CHUNK_PTR: (m + 1) * 8, CHUNK_PINS: pins * 8}
     got = {CHUNK_PTR: 0, CHUNK_PINS: 0}
-    dests = {}
-    if shared is not None:
-        dests = {CHUNK_PTR: shared["edge_ptr"].view(np.uint8),
-                 CHUNK_PINS: shared["edge_pins"].view(np.uint8)}
+    dests = ({kind: arr.view(np.uint8) for kind, arr in arrays.items()}
+             if arrays is not None else {})
     hasher = hashlib.sha256()
     while got[CHUNK_PTR] < need[CHUNK_PTR] or got[CHUNK_PINS] < need[CHUNK_PINS]:
-        head = await take(9)
+        head = await frame.take(9)
         kind, nbytes = struct.unpack("<BQ", head)
         if kind not in (CHUNK_PTR, CHUNK_PINS):
             raise HttpError(400, f"unknown stream chunk kind {kind}",
@@ -427,9 +294,9 @@ async def _consume_chunks(take, shared: SharedCSR | None, *, n: int,
         if nbytes == 0 or got[kind] + nbytes > need[kind]:
             raise HttpError(400, "stream chunk overruns its array",
                             close=True)
-        data = await take(int(nbytes))
+        data = await frame.take(int(nbytes))
         hasher.update(data)
-        if shared is not None:
+        if dests:
             lo = got[kind]
             dests[kind][lo:lo + len(data)] = np.frombuffer(data,
                                                            dtype=np.uint8)
@@ -440,10 +307,9 @@ async def _consume_chunks(take, shared: SharedCSR | None, *, n: int,
                              "match the header's content address")
 
 
-def _validate_csr(shared: SharedCSR, *, n: int, pins: int) -> None:
-    """Structural CSR checks on the filled segment (vectorised)."""
-    ptr = shared["edge_ptr"]
-    pin_arr = shared["edge_pins"]
+def _validate_csr(ptr: np.ndarray, pin_arr: np.ndarray, *, n: int,
+                  pins: int) -> None:
+    """Structural CSR checks on the filled arrays (vectorised)."""
     if int(ptr[0]) != 0 or int(ptr[-1]) != pins:
         raise HttpError(400, "stream ptr must start at 0 and end at the "
                              "pin count")

@@ -2,8 +2,8 @@
 
 Every check gets at least one fixture that MUST fire and the remediated
 twin that MUST stay clean: ``task-lifecycle`` (a fire-and-forget
-``create_task``), ``shm-publish``, a ``threading`` lock acquired on a
-coroutine path (reported by ``async-blocking``), and the targets of
+``create_task``), a ``threading`` lock acquired on a coroutine path
+(reported by ``async-blocking``), and the targets of
 :mod:`repro.core.workers` spawners as ``fork-safety`` roots.
 
 Plus the cross-cutting contracts: pragma suppression (and the
@@ -110,77 +110,6 @@ class TestTaskLifecycle:
     def test_tests_tree_is_out_of_scope(self, tmp_path):
         p = write(tmp_path, "tests/test_mod.py", self.FIRE_AND_FORGET)
         assert analyze_paths([p]) == []
-
-
-class TestShmPublish:
-    HEAD = "from repro.core.shm import SharedArrays\n"
-
-    TP = (HEAD +
-          "def publish_then_write(fields, ship):\n"
-          "    shared = SharedArrays.create(fields)\n"
-          "    try:\n"
-          "        ship(shared.descriptor())\n"
-          "        shared['edge_ptr'][0] = 1\n"     # after publish
-          "    finally:\n"
-          "        shared.close()\n")
-
-    TN = (HEAD +
-          "def fill_then_publish(fields, ship):\n"
-          "    shared = SharedArrays.create(fields)\n"
-          "    try:\n"
-          "        shared['edge_ptr'][0] = 1\n"
-          "        ship(shared.descriptor())\n"
-          "    finally:\n"
-          "        shared.close()\n")
-
-    def test_write_after_descriptor_fires(self, tmp_path):
-        fs = analyze_paths([write(tmp_path, "src/repro/mod.py", self.TP)])
-        assert rules_of(fs) == ["shm-publish"]
-        f = fs[0]
-        assert f.line == 6                     # anchored at the write
-        assert "publish@5" in f.message
-        # flow replays create -> publish -> offending write
-        assert [step[1] for step in f.flow] == [3, 5, 6]
-
-    def test_fill_then_publish_is_clean(self, tmp_path):
-        p = write(tmp_path, "src/repro/mod.py", self.TN)
-        assert analyze_paths([p]) == []
-
-    def test_ready_flag_is_the_publish(self, tmp_path):
-        # the streaming-ingest shape: the ready store itself is fine,
-        # a store after it is the race
-        p = write(tmp_path, "src/repro/mod.py", self.HEAD +
-                  "def flip(fields):\n"
-                  "    shared = SharedArrays.create(fields)\n"
-                  "    shared['payload'][0] = 7\n"
-                  "    shared['ready'][0] = 1\n"
-                  "    return shared\n")
-        assert analyze_paths([p]) == []
-        q = write(tmp_path, "src/repro/mod2.py", self.HEAD +
-                  "def flip(fields):\n"
-                  "    shared = SharedArrays.create(fields)\n"
-                  "    shared['ready'][0] = 1\n"
-                  "    shared['payload'][0] = 7\n"
-                  "    return shared\n")
-        fs = [f for f in analyze_paths([tmp_path / "src"])
-              if f.path.endswith("mod2.py")]
-        assert rules_of(fs) == ["shm-publish"]
-        assert "ready-flag store" in fs[0].message
-
-    def test_write_through_view_alias_fires(self, tmp_path):
-        p = write(tmp_path, "src/repro/mod.py", self.HEAD +
-                  "def viewed(fields, ship):\n"
-                  "    shared = SharedArrays.create(fields)\n"
-                  "    view = shared['weights']\n"
-                  "    try:\n"
-                  "        ship(shared.descriptor())\n"
-                  "        view[0] = 1.0\n"
-                  "    finally:\n"
-                  "        shared.close()\n")
-        fs = analyze_paths([p])
-        assert rules_of(fs) == ["shm-publish"]
-        assert fs[0].line == 7
-        assert "store through view 'view'" in fs[0].flow[-1][2]
 
 
 class TestLockDiscipline:
@@ -290,8 +219,6 @@ class TestIncrementalIdentity:
     FILES = {
         # extract-time: task-lifecycle (path_findings replay)
         "src/repro/mod_task.py": TestTaskLifecycle.FIRE_AND_FORGET,
-        # extract-time: shm-publish (path_findings replay)
-        "src/repro/mod_shm.py": TestShmPublish.TP,
         # check-stage: a sync lock acquire from cached call records
         "src/repro/mesh/mod_lock.py": TestLockDiscipline.SYNC_ON_LOOP,
     }
@@ -316,4 +243,4 @@ class TestIncrementalIdentity:
         assert (rendered(cold) == rendered(first) == rendered(second)
                 == rendered(parallel))
         got = {f.rule for f in cold.findings}
-        assert got == {"task-lifecycle", "shm-publish", "async-blocking"}
+        assert got == {"task-lifecycle", "async-blocking"}

@@ -113,8 +113,9 @@ ROWS = [
          "    spec = task.spec\n    sys.path.insert(0, str(outfile.parent))\n\n"),
         rules={"fork-safety"}),
     row("inherited-event-loop-in-batch-worker", SERVE_POOL,
-        ("    from .runner import solve\n\n",
-         "    from .runner import solve\n\n    asyncio.get_event_loop()\n"),
+        ("    from .runner import solve_graph\n\n",
+         "    from .runner import solve_graph\n\n"
+         "    asyncio.get_event_loop()\n"),
         rules={"fork-safety"}),
     row("worker-without-signal-reset", WORKERS,
         ("    reset_inherited_signals()\n    target(*args)\n",
@@ -154,10 +155,10 @@ ROWS = [
         rules={"async-blocking"}),
     # a non-reentrant lock re-taken by its holder: no rule models it
     row("close-under-own-lock", ROUTER,
-        ("        with self._lock:\n            self._idle.append(client)\n",
-         "        with self._lock:\n            self._idle.append(client)\n"
-         "            if len(self._idle) > 64:\n"
-         "                self.close()\n"),
+        ("                self._idle.append(client)\n",
+         "                self._idle.append(client)\n"
+         "                if len(self._idle) > 64:\n"
+         "                    self.close()\n"),
         test=None),
     row("sleep-in-batcher", JOBS,
         (BATCHER_GET, BATCHER_GET + "            time.sleep(0)\n"),
@@ -175,15 +176,6 @@ ROWS = [
         rules={"task-lifecycle"}),
 
     # -- shared memory and handles -------------------------------------
-    row("store-after-publish-in-hoist", SERVE_POOL,
-        ("                        by_spec[key] = shared.descriptor()\n",
-         "                        by_spec[key] = shared.descriptor()\n"
-         "                        shared['edge_ptr'][0] = 0\n"),
-        rules={"shm-publish"}),
-    row("hoisted-segment-not-handed-off", SERVE_POOL,
-        ("                        else:\n"
-         "                            handles.append(shared)\n", ""),
-        rules={"resource-safety"}),
     row("open-without-with-in-peak-rss", WORKERS,
         ('        with open("/proc/self/status") as fh:\n'
          "            for line in fh:\n"
@@ -199,7 +191,8 @@ ROWS = [
         ("        rep = np.array(cluster)\n    finally:\n"
          "        level.release()\n",
          "        rep = np.array(cluster)\n    finally:\n        pass\n"),
-        test=None),
+        test="tests/partitioners/test_subround.py::TestCoarsenStep::"
+             "test_pooled_level_unlinks_its_segments"),
 
     # -- numerics ------------------------------------------------------
     row("int32-codes-in-pin-count-matrix", KERNELS,

@@ -54,19 +54,11 @@ class TestEmittedDocumentsValidate:
         # flow -> codeFlows/threadFlows must validate too
         write(tmp_path, "src/repro/mod.py",
               "import asyncio\n"
-              "from repro.core.shm import SharedArrays\n"
               "async def race(coro, flag):\n"
               "    t = asyncio.create_task(coro)\n"
               "    if flag:\n"
               "        return None\n"
-              "    return await t\n"
-              "def publish_then_write(fields, ship):\n"
-              "    shared = SharedArrays.create(fields)\n"
-              "    try:\n"
-              "        ship(shared.descriptor())\n"
-              "        shared['edge_ptr'][0] = 1\n"
-              "    finally:\n"
-              "        shared.close()\n")
+              "    return await t\n")
         write(tmp_path, "src/repro/mesh/mod_lock.py",
               "import threading\n"
               "_LOCK = threading.Lock()\n"
@@ -75,7 +67,7 @@ class TestEmittedDocumentsValidate:
               "        return 1\n")
         findings = analyze_paths([tmp_path / "src"])
         assert {f.rule for f in findings} >= {
-            "task-lifecycle", "shm-publish", "async-blocking"}
+            "task-lifecycle", "async-blocking"}
         assert any(f.flow for f in findings)
         doc = to_sarif(findings)
         assert any("codeFlows" in r for r in doc["runs"][0]["results"])

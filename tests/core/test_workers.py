@@ -207,3 +207,32 @@ def test_only_core_workers_starts_processes():
                   for line, name in _spawning_calls(tree)]
     assert found == []
     assert _spawning_calls(ast.parse(primitive.read_text()))
+
+
+_SHM_MODULES = {"repro.core.shm", "multiprocessing.shared_memory"}
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Absolute names of every module ``path`` imports (or imports from)."""
+    package = path.relative_to(SRC).with_suffix("").parts[:-1]
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = list(package[:len(package) - node.level + 1]) \
+                if node.level else []
+            base = ".".join(base + ([node.module] if node.module else []))
+            found.add(base)
+            found |= {f"{base}.{alias.name}" for alias in node.names}
+    return found
+
+
+def test_only_the_round_pool_uses_shared_memory():
+    """Serving hands graphs to forked workers as inherited objects;
+    shared memory stays with the sub-round pool and its own module."""
+    allowed = {SRC / "repro" / "core" / "shm.py",
+               SRC / "repro" / "partitioners" / "subround.py"}
+    users = {path for path in (SRC / "repro").rglob("*.py")
+             if _imported_modules(path) & _SHM_MODULES}
+    assert users == allowed

@@ -5,7 +5,8 @@ task spawned by ``_dispatch_hedged`` is cancelled (and its exception
 retrieved) when the dispatch is abandoned — deadline, caller
 cancellation, or both attempts failing — the probe loop survives
 surprise exceptions instead of dying and leaving down shards down
-forever, and a health probe never queues behind data calls.
+forever, a health probe never queues behind data calls, and a shard
+call that outlives the router's shutdown closes its own client.
 """
 
 from __future__ import annotations
@@ -194,3 +195,36 @@ class TestRouterShutdownCleanup:
             assert router._io._shutdown
             assert router._probe_io._shutdown
         asyncio.run(main())
+
+    def test_call_finishing_after_close_closes_its_client(self,
+                                                           monkeypatch):
+        """A shard call still running when the router stops must not put
+        its keep-alive client back into the closed pool."""
+        from repro.mesh import router as router_mod
+
+        started, release = threading.Event(), threading.Event()
+        clients = []
+
+        class FakeClient:
+            def __init__(self, host, port, timeout_s):
+                self.closed = False
+                clients.append(self)
+
+            def _request(self, method, path, body):
+                started.set()
+                release.wait(10)
+                return 200, {}, {}
+
+            def close(self):
+                self.closed = True
+
+        monkeypatch.setattr(router_mod, "ServeClient", FakeClient)
+        pool = router_mod._ClientPool(ShardSpec("s0", "127.0.0.1", 1), 5.0)
+        call = threading.Thread(target=pool.request, args=("GET", "/x"))
+        call.start()
+        assert started.wait(10)
+        pool.close()
+        release.set()
+        call.join(10)
+        assert [c.closed for c in clients] == [True]
+        assert pool._idle == []

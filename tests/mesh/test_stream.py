@@ -1,25 +1,36 @@
-"""Streaming CSR ingestion: wire format, registry lifecycle, e2e.
+"""Streaming CSR ingestion: wire format, graph cache, frame heads, e2e.
 
 The binary ``/v1/stream`` path exists so a million-pin hypergraph can
 reach a worker without ever being JSON-materialised: the shard writes
-chunks straight into a content-addressed shared segment.  These tests
-pin the wire format (digest is chunking-independent), the refcounted
-segment registry, and the end-to-end path against a real server.
+chunks straight into the graph's arrays, the job holds the graph and
+the forked batch worker inherits it.  These tests pin the wire format
+(digest is chunking-independent), the job manager's bounded graph
+cache, the rejection of malformed frame heads by the shard and the
+router alike, and the end-to-end path against a real server.
 """
 
 from __future__ import annotations
 
+import asyncio
+import gc
 import glob
+import json
+import socket
+import struct
+import weakref
 
 import numpy as np
 import pytest
 
-from repro.core.shm import SharedCSR
 from repro.errors import ServeProtocolError
 from repro.generators import streaming_uniform_hypergraph
-from repro.serve import ServeClient
-from repro.serve.stream import (SegmentRegistry, csr_digest, encode_stream,
-                                segment_name, stream_graph_spec)
+from repro.mesh import MeshConfig, ShardSpec
+from repro.mesh.harness import RouterThread
+from repro.serve import ServeClient, ServeConfig, parse_job_request
+from repro.serve.jobs import _RETAIN_GRAPHS, JobManager, with_deadline
+from repro.serve.protocol import MAX_PINS
+from repro.serve.stream import (MAGIC, STREAM_CONTENT_TYPE, csr_digest,
+                                encode_stream, stream_graph_spec)
 from tests.serve.conftest import ServerThread
 
 
@@ -62,73 +73,97 @@ class TestWireFormat:
         assert r.params["graph"]["stream"]["pins"] == 20
 
 
-class TestSegmentRegistry:
-    def _segment(self, digest: str) -> SharedCSR:
-        return SharedCSR.allocate(4, 2, 6, name=segment_name(digest))
+class TestGraphCache:
+    """The job manager's parsed-graph cache: bounded, LRU, and never the
+    only thing keeping an in-flight job's graph alive."""
 
-    def test_refcount_and_idle_parking(self):
-        reg = SegmentRegistry()
-        digest = "11" * 32
-        seg = self._segment(digest)
-        ref = f"csr:{digest}"
-        assert not reg.acquire(ref)          # unknown yet
-        reg.adopt(ref, seg)
-        assert reg.acquire(ref)              # live now
-        assert reg.descriptor(ref) is not None
-        reg.release(ref)
-        reg.release(ref)                     # refcount hits zero: parked
-        assert ref in reg                    # idle, but still acquirable
-        assert reg.acquire(ref)              # revived from idle
-        reg.release(ref)
-        reg.close_all()
-        assert ref not in reg
+    @staticmethod
+    def _request(g):
+        ptr, pins = g.csr()
+        return parse_job_request({
+            **REQUEST, "graph": stream_graph_spec(
+                csr_digest(ptr, pins), g.n, g.num_edges, len(pins))})
 
-    def test_adopt_duplicate_keeps_first_and_unlinks_newcomer(self):
-        reg = SegmentRegistry()
-        digest = "22" * 32
-        ref = f"csr:{digest}"
-        first = self._segment(digest)
-        reg.adopt(ref, first)
-        second = SharedCSR.allocate(4, 2, 6)   # anonymous duplicate
-        reg.adopt(ref, second)
-        assert reg.descriptor(ref)["arrays"]["seg"] == first.segment_name
-        reg.close_all()
+    def test_bound_and_lru_eviction(self):
+        async def main():
+            mgr = JobManager(cache=None)
+            graphs = [streaming_uniform_hypergraph(20, 10, 3, rng=i)
+                      for i in range(_RETAIN_GRAPHS + 2)]
+            for i, g in enumerate(graphs):
+                mgr.cache_graph(f"csr:{i}", g)
+            assert len(mgr._graphs) == _RETAIN_GRAPHS
+            assert mgr.cached_graph("csr:0") is None     # least recent
+            assert mgr.cached_graph("csr:1") is None
+            assert mgr.cached_graph("csr:2") is graphs[2]  # now most recent
+            mgr.cache_graph("csr:new", graph())
+            assert mgr.cached_graph("csr:2") is graphs[2]
+            assert mgr.cached_graph("csr:3") is None
+            assert len(mgr._graphs) == _RETAIN_GRAPHS
+            await mgr.stop()
+        asyncio.run(main())
 
-    def test_idle_eviction_is_bounded(self):
-        reg = SegmentRegistry()
-        refs, names = [], []
-        for i in range(7):
-            digest = f"{i:02d}" * 32
-            ref = f"csr:{digest}"
-            seg = self._segment(digest)
-            names.append(seg.segment_name)
-            reg.adopt(ref, seg)
-            reg.acquire(ref)
-            refs.append(ref)
-        for ref in refs:
-            reg.release(ref)                 # all parked; LRU evicts
-        assert len(reg) <= 4                 # retained idle only
-        reg.close_all()
-        present = set(glob.glob("/dev/shm/repro_stream_*"))
-        assert not present & {f"/dev/shm/{n}" for n in names}
+    def test_in_flight_job_keeps_its_graph_past_eviction(self):
+        g = graph()
+
+        async def main():
+            mgr = JobManager(cache=None, workers=1, debug_slow_s=0.5)
+            mgr.start()
+            try:
+                mgr.cache_graph("csr:mine", g)
+                job = mgr.submit(self._request(g), graph=g)
+                while job.status == "queued":
+                    await asyncio.sleep(0.01)
+                assert job.status == "running"
+                for i in range(_RETAIN_GRAPHS):
+                    mgr.cache_graph(f"csr:{i}", graph())
+                assert mgr.cached_graph("csr:mine") is None
+                assert job.graph is g
+                await with_deadline(asyncio.shield(job.future), 60.0)
+            finally:
+                await mgr.stop()
+            assert job.status == "done", job.error
+            assert job.result["n"] == g.n and job.result["pins"] == g.num_pins
+        asyncio.run(main())
+
+    def test_resolved_job_no_longer_holds_its_graph(self):
+        async def main():
+            mgr = JobManager(cache=None, workers=1)
+            mgr.start()
+            g = graph()
+            ref = weakref.ref(g)
+            try:
+                job = mgr.submit(self._request(g), graph=g)
+                del g
+                await with_deadline(asyncio.shield(job.future), 60.0)
+            finally:
+                await mgr.stop()
+            assert job.status == "done" and mgr.jobs[job.id] is job
+            assert job.graph is None
+            gc.collect()
+            assert ref() is None
+        asyncio.run(main())
+
+
+def shm_names() -> set[str]:
+    return set(glob.glob("/dev/shm/repro*"))
+
+
+@pytest.fixture(scope="module")
+def server(tmp_path_factory):
+    st = ServerThread(ServeConfig(
+        host="127.0.0.1", port=0,
+        cache_dir=str(tmp_path_factory.mktemp("cache")),
+        batch_window_s=0.005, workers=1))
+    st.start()
+    yield st
+    st.stop()
 
 
 class TestEndToEnd:
-    @pytest.fixture(scope="class")
-    def server(self, tmp_path_factory):
-        st = ServerThread.__new__(ServerThread)
-        from repro.serve import ServeConfig
-        ServerThread.__init__(st, ServeConfig(
-            host="127.0.0.1", port=0,
-            cache_dir=str(tmp_path_factory.mktemp("cache")),
-            batch_window_s=0.005, workers=1))
-        st.start()
-        yield st
-        st.stop()
-
     def test_stream_solves_and_matches_inline_result(self, server):
         g = graph()
-        before = set(glob.glob("/dev/shm/repro_stream_*"))
+        before = shm_names()
+        counters = server.server.metrics.counters
         with ServeClient("127.0.0.1", server.port, timeout_s=60) as c:
             handle = c.stream(REQUEST, graph=g)
             done = handle if handle["status"] == "done" \
@@ -143,13 +178,18 @@ class TestEndToEnd:
                                   "graph": graph_payload(g)})
             assert inline["result"]["labels"] == labels
 
-            # re-streaming the same graph reuses the resident segment
-            # (or the cache short-circuits it entirely)
+            # re-streaming the same graph: the resident graph is hashed
+            # against, not stored again, and the result is a cache hit
+            ptr, pins = g.csr()
+            ref = f"csr:{csr_digest(ptr, pins)}"
+            resident = server.server.manager.cached_graph(ref)
+            reused = counters.get("stream_graph_reuse", 0)
             again = c.stream(REQUEST, graph=g)
             assert again.get("cached"), again
+            assert counters["stream_graph_reuse"] == reused + 1
+            assert server.server.manager.cached_graph(ref) is resident
 
             # resubmitting by content address alone is a cache hit
-            ptr, pins = g.csr()
             spec = stream_graph_spec(csr_digest(ptr, pins), g.n,
                                      g.num_edges, len(pins))
             by_ref = c.partition({**REQUEST, "mode": "sync",
@@ -163,22 +203,18 @@ class TestEndToEnd:
                 c.partition({**REQUEST, "mode": "sync",
                              "graph": stream_graph_spec("ff" * 32,
                                                         10, 5, 20)})
-        # ingest left nothing extra in /dev/shm beyond the idle-parked
-        # segment (owned by the live server, reaped at stop())
-        leaked = set(glob.glob("/dev/shm/repro_stream_*")) - before
-        assert len(leaked) <= 1
+        # the graph never left the server's heap
+        assert shm_names() == before
 
     def test_digest_mismatch_is_rejected(self, server):
         g = graph()
         ptr, pins = g.csr()
         import http.client
-        import json as _json
-        from repro.serve.stream import MAGIC, STREAM_CONTENT_TYPE
         header = {"request": REQUEST,
                   "csr": {"n": int(g.n), "m": int(g.num_edges),
                           "pins": int(len(pins))},
                   "digest": "00" * 32}     # wrong on purpose
-        hdr = _json.dumps(header).encode()
+        hdr = json.dumps(header).encode()
         body = MAGIC + len(hdr).to_bytes(4, "little") + hdr
         ptr64 = np.asarray(ptr, dtype="<i8").tobytes()
         pins64 = np.asarray(pins, dtype="<i8").tobytes()
@@ -191,11 +227,21 @@ class TestEndToEnd:
                          headers={"Content-Type": STREAM_CONTENT_TYPE,
                                   "Content-Length": str(len(body))})
             resp = conn.getresponse()
-            payload = _json.loads(resp.read())
+            payload = json.loads(resp.read())
             assert resp.status == 400
             assert "digest" in payload["error"]
         finally:
             conn.close()
+
+    def test_unnormalised_csr_is_rejected_at_ingest(self, server):
+        """Edge pins out of order fail the graph's own CSR check in the
+        server: a 400, and nothing is cached or admitted."""
+        graphs = dict(server.server.manager._graphs)
+        with ServeClient("127.0.0.1", server.port, timeout_s=30) as c:
+            with pytest.raises(ServeProtocolError, match="unnormalised"):
+                c.stream(REQUEST, n=4, ptr=np.array([0, 2, 4]),
+                         pins=np.array([2, 1, 0, 3]))
+        assert server.server.manager._graphs == graphs
 
     def test_keep_alive_reuses_one_connection(self, server):
         """submit + polls + health all ride a single TCP connection."""
@@ -212,3 +258,81 @@ class TestEndToEnd:
             c.metrics_text()
         after = server.server.metrics.counters.get("http_connections", 0)
         assert after - before == 1
+
+
+def _head(header: dict) -> bytes:
+    raw = json.dumps(header).encode()
+    return MAGIC + struct.pack("<I", len(raw)) + raw
+
+
+GOOD_HEADER = {"request": REQUEST, "csr": {"n": 4, "m": 1, "pins": 2},
+               "digest": "ab" * 32}
+
+#: (id, request body or None for no Content-Length, status).  Each body
+#: ends where the reader stops, so the reply is never lost to a reset.
+MALFORMED_HEADS = [
+    ("no-content-length", None, 411),
+    ("bad-magic", b"RMSH0\n", 400),
+    ("header-over-1MiB", MAGIC + struct.pack("<I", (1 << 20) + 1), 400),
+    ("header-not-json", MAGIC + struct.pack("<I", 9) + b"{not json", 400),
+    ("header-rejected", _head({**GOOD_HEADER, "digest": "xyz"}), 400),
+    ("frame-past-content-length", MAGIC + struct.pack("<I", 64), 400),
+    ("pins-over-MAX_PINS",
+     _head({**GOOD_HEADER, "csr": {"n": 4, "m": 1, "pins": MAX_PINS + 1}}),
+     413),
+]
+
+
+def _post_stream(port: int, body: bytes | None) -> tuple[int, bool]:
+    """(status, whether the peer closed the connection after replying)."""
+    head = (f"POST /v1/stream HTTP/1.1\r\nHost: 127.0.0.1:{port}\r\n"
+            f"Content-Type: {STREAM_CONTENT_TYPE}\r\n")
+    if body is not None:
+        head += f"Content-Length: {len(body)}\r\n"
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(head.encode() + b"\r\n" + (body or b""))
+        reply = b""
+        closed = False
+        try:
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    closed = True
+                    break
+                reply += chunk
+        except socket.timeout:
+            pass                        # kept alive: no EOF within 10 s
+    return int(reply.split(b" ", 2)[1]), closed
+
+
+@pytest.fixture(scope="module")
+def router(server):
+    rt = RouterThread(MeshConfig(
+        shards=(ShardSpec("s0", "127.0.0.1", server.port),))).start()
+    yield rt
+    rt.stop()
+
+
+class TestMalformedHead:
+    """Shard and router read the frame head with one function, so each
+    malformed head gets the same status from both, and a closed
+    connection: the rest of the body is never read."""
+
+    @pytest.mark.parametrize("body,status",
+                             [c[1:] for c in MALFORMED_HEADS],
+                             ids=[c[0] for c in MALFORMED_HEADS])
+    def test_shard_rejects_and_closes(self, server, body, status):
+        before = shm_names()
+        graphs = dict(server.server.manager._graphs)
+        assert _post_stream(server.port, body) == (status, True)
+        assert server.server.manager._graphs == graphs
+        assert shm_names() == before
+
+    @pytest.mark.parametrize("body,status",
+                             [c[1:] for c in MALFORMED_HEADS],
+                             ids=[c[0] for c in MALFORMED_HEADS])
+    def test_router_rejects_and_closes(self, router, body, status):
+        relays = router.router.metrics.counters.get("stream_relays", 0)
+        assert _post_stream(router.port, body) == (status, True)
+        assert router.router.metrics.counters.get("stream_relays",
+                                                  0) == relays

@@ -103,7 +103,7 @@ def _member(tmp_path: Path, key: str) -> BatchMember:
                        errfile=tmp_path / f"{key}.err", deadline_mono=None)
 
 
-def _report_born_mask(members, params, debug_slow_s) -> None:
+def _report_born_mask(members, debug_slow_s) -> None:
     """Stand-in batch target: report the mask recorded before the reset."""
     for m in members:
         born = json.loads((m.outfile.parent / "born.json").read_text())

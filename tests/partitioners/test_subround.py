@@ -12,6 +12,8 @@ lowered so the pool actually engages on small graphs), and the full
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -191,6 +193,27 @@ class TestCoarsenStep:
         assert np.array_equal(serial[1], parallel[1])
         for a, b in zip(serial[0].csr(), parallel[0].csr()):
             assert np.array_equal(a, b)
+
+    def test_pooled_level_unlinks_its_segments(self, planted, eager_pool,
+                                               monkeypatch):
+        """The level a pooled step publishes is gone from /dev/shm when
+        the step returns, while the pool that attached it stays open."""
+        created = []
+        create = SharedArrays.create.__func__
+
+        def recording(cls, arrays):
+            shared = create(cls, arrays)
+            created.append(Path("/dev/shm") / shared.name)
+            return shared
+
+        monkeypatch.setattr(SharedArrays, "create", classmethod(recording))
+        g, _ = planted
+        with RoundPool(2) as pool:
+            out = subround_coarsen_step(g, np.random.default_rng(5), 8.0,
+                                        pool=pool)
+            assert out is not None
+            assert len(created) == 2            # the graph and the state
+            assert [p for p in created if p.exists()] == []
 
     def test_step_shrinks_the_graph(self, planted):
         g, _ = planted

@@ -172,12 +172,13 @@ class TestPoolDeadlines:
         assert "InvalidHypergraph" in outcomes["bad"].error
 
 
-class TestPoolSharedMemoryHandoff:
-    """Large inline graph specs cross the pipe as shm descriptors."""
+class TestGraphHandoff:
+    """Large inline specs are parsed once in the server process and
+    inherited by the forked batch worker; small ones are parsed there."""
 
     @staticmethod
     def _big_hgr_request(**over):
-        # ~180 KB hgr upload: well past _SHM_SPEC_MIN_BYTES
+        # ~180 KB hgr upload: well past _PARENT_PARSE_MIN_BYTES
         import tempfile
         from pathlib import Path
         from repro.generators import streaming_uniform_hypergraph
@@ -189,63 +190,67 @@ class TestPoolSharedMemoryHandoff:
             text = path.read_text()
         return parse_job_request(req(graph={"hgr": text}, **over))
 
-    def test_hoist_rewrites_large_specs_once_per_graph(self):
-        from repro.serve.pool import _hoist_graphs, _spec_payload_bytes
-        r = self._big_hgr_request()
-        assert _spec_payload_bytes(r.params["graph"]) > 1 << 16
-        members = [BatchMember(key=str(i), seed=i, params=r.params,
-                               outfile=None, errfile=None,
-                               deadline_mono=None) for i in range(3)]
-        params, handles, refs = _hoist_graphs_sync(_hoist_graphs, members)
-        assert refs == []           # no registry given: caller-owned
-        try:
-            # one segment serves all three members
-            assert len(handles) == 1
-            descs = [p["graph"]["shm"] for p in params]
-            assert all(d == descs[0] for d in descs)
-            # descriptor round-trips to the same hypergraph
-            from repro.core.shm import SharedCSR
-            attached = SharedCSR.attach(descs[0])
-            g = attached.hypergraph()
-            assert (g.n, g.num_pins) == (3000, 24000)
-            attached.close()
-        finally:
-            for h in handles:
-                h.close()
-                h.unlink()
+    @staticmethod
+    def _run(monkeypatch, batches):
+        """Submit each batch of requests as one dispatch; return the
+        resolved jobs per batch and the parent-side parse count."""
+        from repro.serve import jobs as jobs_mod
+        parses = []
+        real = jobs_mod.build_graph
 
-    def test_small_specs_stay_inline(self):
-        from repro.serve.pool import _hoist_graphs
-        r = parse_job_request(req())
-        member = BatchMember(key="s", seed=1, params=r.params,
-                             outfile=None, errfile=None, deadline_mono=None)
-        params, handles, refs = _hoist_graphs_sync(_hoist_graphs, [member])
-        assert handles == [] and refs == [] and params[0] is r.params
+        def counting(params):
+            parses.append(params["graph"])
+            return real(params)
 
-    def test_batch_result_matches_inline_and_leaves_no_segments(
-            self, tmp_path):
-        import glob
-        before = set(glob.glob("/dev/shm/repro_shm_*"))
-        r = self._big_hgr_request()
-        member = BatchMember(key="big", seed=r.seed, params=r.params,
-                             outfile=tmp_path / "o.json",
-                             errfile=tmp_path / "o.err", deadline_mono=None)
-        outcomes = {}
+        monkeypatch.setattr(jobs_mod, "build_graph", counting)
 
         async def main():
-            await run_batch([member],
-                            on_outcome=lambda m, o: outcomes.__setitem__(
-                                m.key, o))
-        asyncio.run(main())
-        assert outcomes["big"].status == "ok"
-        # worker solved the attached graph, not a truncated copy...
-        values = outcomes["big"].payload["values"]
-        assert values["n"] == 3000 and values["pins"] == 24000
+            mgr = jobs_mod.JobManager(workers=1, batch_window_s=0.2,
+                                      small_pins=1 << 20)
+            mgr.start()
+            out = []
+            try:
+                for batch in batches:
+                    submitted = [mgr.submit(r) for r in batch]
+                    for job in submitted:
+                        await with_deadline(asyncio.shield(job.future),
+                                            120.0)
+                    out.append(submitted)
+            finally:
+                await mgr.stop()
+            return out
+        return asyncio.run(main()), parses
+
+    def test_members_sharing_a_large_spec_share_one_parse(
+            self, monkeypatch):
+        from repro.serve.jobs import _PARENT_PARSE_MIN_BYTES, \
+            _spec_payload_bytes
+        big = [self._big_hgr_request(seed=s) for s in range(6)]
+        assert _spec_payload_bytes(big[0].params["graph"]) \
+            >= _PARENT_PARSE_MIN_BYTES
+        (first, second), parses = self._run(monkeypatch,
+                                            [big[:3], big[3:]])
+        assert all(j.status == "done" for j in first + second)
+        assert all(j.attempts == 1 for j in first + second)
+        # one parse for the first batch of three, none for the second
+        assert len(parses) == 1
+        assert all(j.result["pins"] == 24000 for j in first + second)
+
+    def test_small_specs_are_parsed_in_the_worker(self, monkeypatch):
+        r = parse_job_request(req())
+        ([job],), parses = self._run(monkeypatch, [[r]])
+        assert job.status == "done" and parses == []
+        assert job.result == solve(seed=r.seed, **r.params)
+
+    def test_batch_result_matches_inline_and_leaves_no_segments(
+            self, monkeypatch):
+        import glob
+        before = set(glob.glob("/dev/shm/repro*"))
+        r = self._big_hgr_request()
+        ([job],), parses = self._run(monkeypatch, [[r]])
+        assert job.status == "done" and len(parses) == 1
+        # worker solved the inherited graph, not a truncated copy...
+        assert job.result["n"] == 3000 and job.result["pins"] == 24000
         # ...and the result is exactly what an in-process solve yields
-        assert values == solve(seed=r.seed, **r.params)
-        # parent unlinked its segments on the way out
-        assert set(glob.glob("/dev/shm/repro_shm_*")) == before
-
-
-def _hoist_graphs_sync(fn, members):
-    return asyncio.run(fn(members))
+        assert job.result == solve(seed=r.seed, **r.params)
+        assert set(glob.glob("/dev/shm/repro*")) == before
