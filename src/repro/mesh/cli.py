@@ -45,7 +45,6 @@ def add_mesh_parser(sub) -> None:
     rt.add_argument("key", help="routing key (e.g. a job cache key)")
     rt.add_argument("--shards", type=int, default=3,
                     help="shard count to build the ring over")
-    rt.add_argument("--replicas", type=int, default=64)
 
     st = ms.add_parser("status", help="scrape /v1/mesh of a router")
     st.add_argument("--host", default="127.0.0.1")
@@ -88,8 +87,7 @@ def _up(args) -> int:
 def _route(args) -> int:
     from .ring import HashRing
 
-    ring = HashRing([f"s{i}" for i in range(args.shards)],
-                    replicas=args.replicas)
+    ring = HashRing([f"s{i}" for i in range(args.shards)])
     print(json.dumps({"key": args.key,
                       "owner": ring.assign(args.key),
                       "preference": list(ring.preference(args.key))},

@@ -1,11 +1,12 @@
 """In-process mesh bring-up shared by the test suite and the bench.
 
-Mirrors ``tests/serve/conftest.ServerThread``: the router's event loop
-runs in a private daemon thread and is driven over real sockets by the
-blocking :class:`~repro.serve.client.ServeClient` — the full stack
-(router HTTP, hedging, relay, shard subprocesses) is exercised, nothing
-is mocked.  :func:`mesh_up` is the one bring-up path, so the chaos
-harness in ``benchmarks/bench_mesh.py`` and the kill/restart tests see
+:class:`LoopThread` runs one app — a :class:`~repro.mesh.router.Router`
+or a :class:`~repro.serve.server.Server` — in a private event loop in a
+daemon thread, driven over real sockets by the blocking
+:class:`~repro.serve.client.ServeClient`: the full stack (HTTP,
+hedging, relay, shard subprocesses) is exercised, nothing is mocked.
+:func:`mesh_up` is the one bring-up path, so the chaos harness in
+``benchmarks/bench_mesh.py`` and the kill/restart tests see
 byte-for-byte the same topology.
 """
 
@@ -21,15 +22,16 @@ from ..serve.client import ServeClient
 from .router import MeshConfig, Router
 from .shards import ShardSupervisor
 
-__all__ = ["MeshHandle", "RouterThread", "mesh_up"]
+__all__ = ["LoopThread", "MeshHandle", "mesh_up"]
 
 
-class RouterThread:
-    """Run one Router inside a private event loop thread."""
+class LoopThread:
+    """Run one app (async ``start``/``stop``, a ``port``) in a thread."""
 
-    def __init__(self, config: MeshConfig) -> None:
-        self.router = Router(config)
+    def __init__(self, app) -> None:
+        self.app = app
         self.loop = asyncio.new_event_loop()
+        self._ready = threading.Event()
         self._stopped = threading.Event()
         self._thread = threading.Thread(target=self._main, daemon=True)
         self._stop_evt: asyncio.Event | None = None
@@ -40,7 +42,7 @@ class RouterThread:
 
         async def run() -> None:
             try:
-                await self.router.start()
+                await self.app.start()
             except BaseException as exc:
                 self._failure = exc
                 self._ready.set()
@@ -48,7 +50,7 @@ class RouterThread:
             self._stop_evt = asyncio.Event()
             self._ready.set()
             await self._stop_evt.wait()  # analyze: allow(serve-timeout) — thread-lifetime wait; stop() sets it from the owning thread
-            await self.router.stop()
+            await self.app.stop()
 
         try:
             self.loop.run_until_complete(run())
@@ -56,19 +58,18 @@ class RouterThread:
             self.loop.close()
             self._stopped.set()
 
-    def start(self) -> "RouterThread":
-        self._ready = threading.Event()
+    def start(self) -> "LoopThread":
         self._thread.start()
         if not self._ready.wait(timeout=15):
-            raise RuntimeError("router failed to start within 15s")
+            raise RuntimeError("app failed to start within 15s")
         if self._failure is not None:
             raise self._failure
         return self
 
     @property
     def port(self) -> int:
-        assert self.router.port is not None
-        return self.router.port
+        assert self.app.port is not None
+        return self.app.port
 
     def stop(self) -> None:
         if self._stop_evt is not None:
@@ -81,11 +82,11 @@ class MeshHandle:
     """Everything a caller needs to drive (and abuse) a running mesh."""
 
     supervisor: ShardSupervisor
-    router_thread: RouterThread
+    router_thread: LoopThread
 
     @property
     def router(self) -> Router:
-        return self.router_thread.router
+        return self.router_thread.app
 
     @property
     def port(self) -> int:
@@ -106,7 +107,7 @@ def mesh_up(count: int, cache_dir: str, *,
     """Spawn ``count`` shard processes + one in-process router."""
     supervisor = ShardSupervisor(count, cache_dir, workers=workers,
                                  queue_limit=queue_limit, slow=slow)
-    router_thread: RouterThread | None = None
+    router_thread: LoopThread | None = None
     try:
         specs = supervisor.start()
         config = MeshConfig(shards=specs, hedge=hedge,
@@ -114,7 +115,7 @@ def mesh_up(count: int, cache_dir: str, *,
                             hedge_max_s=hedge_max_s,
                             probe_interval_s=probe_interval_s,
                             client_timeout_s=client_timeout_s)
-        router_thread = RouterThread(config).start()
+        router_thread = LoopThread(Router(config)).start()
         handle = MeshHandle(supervisor=supervisor,
                             router_thread=router_thread)
         yield handle

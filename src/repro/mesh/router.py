@@ -11,7 +11,7 @@ care whether they talk to one shard or the mesh) and adds:
   *shared cache root* means any shard can serve a repeat of a
   completed key — failover needs no state transfer.
 * **hedged dispatch** — a sync solve still unanswered after the hedge
-  delay (``hedge_factor`` x the rolling p50 of sync latencies, clamped
+  delay (``_HEDGE_FACTOR`` x the rolling p50 of sync latencies, clamped
   to ``[hedge_min_s, hedge_max_s]``) is re-dispatched to the next
   shard in the key's preference order; the first success wins.
   Deterministic cancel-the-loser: when both are complete the primary
@@ -22,43 +22,45 @@ care whether they talk to one shard or the mesh) and adds:
   dies (transport failure, or a 404 from a restarted shard that lost
   its job table) is resubmitted once to the next alive shard in its
   preference order; a completed key resolves instantly as a cache hit
-  there.  ``max_requeue`` bounds it so a poisoned job cannot bounce
+  there.  ``_MAX_REQUEUE`` bounds it so a poisoned job cannot bounce
   around the mesh forever.
 * **stream relay** — ``POST /v1/stream`` bodies are forwarded to the
   owning shard in 64 KiB pieces as they arrive; the router reads only
   the frame header (for the routing key) and never materialises the
   pin arrays.
 
+Transport: shard calls run on the event loop over asyncio streams,
+each on an idle keep-alive connection of its shard or a new one.  A
+connection is pooled again only after a completed call whose reply
+allows keep-alive; an error or a cancellation closes it, so a
+cancelled hedge loser hangs up on its shard, and no call (a health
+probe included) ever waits for another.  The connection and signal
+loops are the shard's own, from :mod:`repro.serve.http`.
+
 Determinism discipline: router coroutines are analyze determinism
 roots, so this module draws on no entropy and no wall clock — job ids
 are sequential (``m0000001``), time is ``time.monotonic`` only, and
-every blocking client call runs behind a dedicated thread pool (which
-also keeps the async-blocking pass honest).  Health probes get their
-own tiny pool: the default executor caps at ``cpu_count + 4`` threads,
-so on small hosts a burst of slow data-path calls would otherwise
-queue the 2-second probe calls past their own deadline and mark
-perfectly healthy shards down.
+admission parsing (which reads runner source) runs through
+``asyncio.to_thread``, which also keeps the async-blocking pass
+honest.
 """
 
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
+import functools
 import itertools
 import json
-import signal
-import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from ..errors import (DeadlineExceededError, JobNotFoundError, MeshError,
-                      NoShardAvailableError, QueueFullError, ReproError,
-                      ServeClientError, ServeProtocolError)
-from ..serve.client import ServeClient
-from ..serve.http import (MAX_BODY, HttpError, read_body, read_head,
-                          read_response, write_response)
+                      NoShardAvailableError, ReproError, ServeClientError,
+                      ServeProtocolError)
+from ..serve.http import (HttpError, handle_connection, read_response,
+                          serve_forever)
 from ..serve.jobs import FINAL_STATUSES, with_deadline
 from ..serve.metrics import Metrics
 from ..serve.protocol import parse_job_request
@@ -72,11 +74,22 @@ __all__ = ["MeshConfig", "MeshJob", "Router", "run_router"]
 
 _RELAY_CHUNK = 64 * 1024
 _LATENCY_WINDOW = 512
+_HEDGE_FACTOR = 4.0                 # x rolling p50 of sync latencies
+_PROBE_TIMEOUT_S = 2.0
+_ADMIT_TIMEOUT_S = 10.0
+_CONNECT_TIMEOUT_S = 5.0
+_MAX_REQUEUE = 1                    # resubmissions per acknowledged job
+_RETAIN_JOBS = 4096
+
+#: Exception class → status for errors the router's handlers raise.  A
+#: shard's 429 reaches the router as a status, never as an exception.
+_STATUSES = ((NoShardAvailableError, 503), (ServeProtocolError, 400),
+             (JobNotFoundError, 404), ((ReproError, OSError), 502))
 
 
 @dataclass
 class MeshConfig:
-    """Everything ``repro mesh up`` can tune from the command line."""
+    """Router settings; ``repro mesh up`` sets host, port, shards, hedge."""
 
     host: str = "127.0.0.1"
     port: int = 0
@@ -84,16 +97,8 @@ class MeshConfig:
     hedge: bool = True
     hedge_min_s: float = 0.05
     hedge_max_s: float = 1.0
-    hedge_factor: float = 4.0       # x rolling p50 of sync latencies
     probe_interval_s: float = 0.25
-    probe_timeout_s: float = 2.0
     client_timeout_s: float = 120.0
-    admit_timeout_s: float = 10.0
-    max_requeue: int = 1            # resubmissions per acknowledged job
-    replicas: int = 64              # ring points per shard
-    retain_jobs: int = 4096
-    io_threads: int = 32            # data-path shard-call threads
-    extra: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -110,52 +115,6 @@ class MeshJob:
     busy: bool = False              # a requeue is in flight for this job
 
 
-class _ClientPool:
-    """Thread-safe stack of keep-alive :class:`ServeClient` instances.
-
-    Every router->shard call runs in an executor worker; the pool
-    hands each worker a persistent connection and takes it back after,
-    so concurrent calls multiplex over a handful of sockets instead of
-    reconnecting per request.  Only ever touched from threads — the io
-    executors' workers, and :meth:`Router.stop` closes it through
-    ``asyncio.to_thread`` — never on the event loop itself.  A call
-    that finishes after :meth:`close` closes its client instead of
-    pooling it.
-    """
-
-    def __init__(self, spec: ShardSpec, timeout_s: float) -> None:
-        self._spec = spec
-        self._timeout_s = timeout_s
-        self._lock = threading.Lock()
-        self._idle: list[ServeClient] = []
-        self._closed = False
-
-    def request(self, method: str, path: str,
-                body: dict | None = None) -> tuple[int, Any, dict]:
-        with self._lock:
-            client = (self._idle.pop() if self._idle
-                      else ServeClient(self._spec.host, self._spec.port,
-                                       timeout_s=self._timeout_s))
-        try:
-            result = client._request(method, path, body)
-        except BaseException:
-            client.close()
-            raise
-        with self._lock:
-            if not self._closed:
-                self._idle.append(client)
-                return result
-        client.close()              # the pool closed while this call ran
-        return result
-
-    def close(self) -> None:
-        with self._lock:
-            self._closed = True
-            clients, self._idle = self._idle, []
-        for client in clients:
-            client.close()
-
-
 class Router:
     """One mesh front process over a fixed shard set."""
 
@@ -165,18 +124,10 @@ class Router:
         self.config = config
         self.metrics = Metrics(prefix="repro_mesh_")
         self.shards: dict[str, ShardSpec] = {s.id: s for s in config.shards}
-        self.ring = HashRing(self.shards, replicas=config.replicas)
-        self._pools = {sid: _ClientPool(spec, config.client_timeout_s)
-                       for sid, spec in self.shards.items()}
-        # Dedicated executors: asyncio's default pool is tiny on small
-        # hosts, and a deadline that fires while the call is still
-        # *queued for a thread* is indistinguishable from a dead shard.
-        self._io = concurrent.futures.ThreadPoolExecutor(
-            max_workers=max(4, config.io_threads),
-            thread_name_prefix="mesh-io")
-        self._probe_io = concurrent.futures.ThreadPoolExecutor(
-            max_workers=max(2, len(self.shards)),
-            thread_name_prefix="mesh-probe")
+        self.ring = HashRing(self.shards)
+        # idle keep-alive (reader, writer) pairs per shard, newest last
+        self._idle: dict[str, list] = {sid: [] for sid in self.shards}
+        self._stopped = False
         self._down: set[str] = set()
         self._jobs: dict[str, MeshJob] = {}
         self._seq = itertools.count(1)
@@ -195,12 +146,16 @@ class Router:
     # ------------------------------------------------------------------
     async def start(self) -> None:
         self._server = await asyncio.start_server(  # analyze: allow(serve-timeout) — bind/listen at startup; nothing to time-box yet and failure must propagate to the CLI
-            self._handle_connection, self.config.host, self.config.port)
+            functools.partial(handle_connection, route=self._route,
+                              stream=self._handle_stream,
+                              metrics=self.metrics, statuses=_STATUSES),
+            self.config.host, self.config.port)
         self.port = self._server.sockets[0].getsockname()[1]
         self._probe_task = asyncio.get_running_loop().create_task(
             self._probe_loop())
 
     async def stop(self) -> None:
+        self._stopped = True        # a call still running closes its own
         if self._probe_task is not None:
             self._probe_task.cancel()
             try:
@@ -210,96 +165,14 @@ class Router:
         if self._server is not None:
             self._server.close()
             await with_deadline(self._server.wait_closed(), 5.0)
-        self._io.shutdown(wait=False, cancel_futures=True)
-        self._probe_io.shutdown(wait=False, cancel_futures=True)
-        # after the executors stop taking work: a call still running
-        # closes its own client when it returns (see _ClientPool)
-        for pool in self._pools.values():
-            await with_deadline(asyncio.to_thread(pool.close), 5.0)
-
-    async def serve_forever(self) -> None:
-        """Run until SIGTERM/SIGINT; then shut down gracefully."""
-        import sys
-        await self.start()
-        print(f"repro mesh listening on {self.config.host}:{self.port}",
-              file=sys.stderr, flush=True)
-        stop_event = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, stop_event.set)
-            except (NotImplementedError, RuntimeError):
-                pass  # platform without signal support in the loop
-        try:
-            await stop_event.wait()  # analyze: allow(serve-timeout) — the process-lifetime wait; bounding it would mean a router that exits on a timer
-        finally:
-            await self.stop()
-
-    # ------------------------------------------------------------------
-    # Connection handling (same framing discipline as the shard server)
-    # ------------------------------------------------------------------
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        self.metrics.inc("http_connections")
-        try:
-            while True:
-                try:
-                    head = await read_head(reader)
-                except DeadlineExceededError:
-                    break
-                except HttpError as exc:
-                    await write_response(writer, exc.status,
-                                         {"error": str(exc)}, exc.headers,
-                                         keep_alive=False)
-                    break
-                if head is None:
-                    break
-                method, target, headers = head
-                self.metrics.inc("http_requests")
-                force_close = False
-                try:
-                    if (method == "POST"
-                            and target.split("?", 1)[0] == "/v1/stream"):
-                        status, payload, extra = await self._handle_stream(
-                            reader, headers)
-                    else:
-                        body = await read_body(reader, headers,
-                                               max_body=MAX_BODY)
-                        status, payload, extra = await self._route(
-                            method, target, body)
-                except HttpError as exc:
-                    status, payload = exc.status, {"error": str(exc)}
-                    extra = exc.headers
-                    force_close = exc.close
-                except NoShardAvailableError as exc:
-                    status, payload, extra = 503, {"error": str(exc)}, {}
-                except ServeProtocolError as exc:
-                    status, payload, extra = 400, {"error": str(exc)}, {}
-                except JobNotFoundError as exc:
-                    status, payload, extra = 404, {"error": str(exc)}, {}
-                except QueueFullError as exc:
-                    status, payload = 429, {"error": str(exc)}
-                    extra = {"Retry-After":
-                             str(int(getattr(exc, "retry_after_s", 1)))}
-                except (ReproError, OSError) as exc:
-                    status, payload, extra = 502, {"error": str(exc)}, {}
-                keep_alive = (headers.get("connection", "") != "close"
-                              and not force_close)
-                await write_response(writer, status, payload, extra,
-                                     keep_alive)
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client went away mid-exchange; nothing to answer
-        except Exception:  # analyze: allow(silent-except) — one broken connection must never take down the accept loop
-            pass
-        finally:
-            try:
+        for idle in self._idle.values():
+            for _reader, writer in idle:
                 writer.close()
-                await with_deadline(writer.wait_closed(), 2.0)
-            except (Exception, DeadlineExceededError):  # analyze: allow(silent-except) — socket teardown race; the fd is closed either way
-                pass
+            idle.clear()
 
+    # ------------------------------------------------------------------
+    # Routing
+    # ------------------------------------------------------------------
     async def _route(self, method: str, target: str,
                      body: bytes) -> tuple[int, dict, dict]:
         target = target.split("?", 1)[0]
@@ -333,27 +206,73 @@ class Router:
     async def _shard_call(self, sid: str, method: str, path: str,
                           body: dict | None = None,
                           timeout_s: float | None = None,
-                          probe: bool = False) -> tuple[int, Any, dict]:
-        """One pooled keep-alive HTTP call to a shard, off the loop.
+                          ) -> tuple[int, Any, dict]:
+        """One keep-alive HTTP call to a shard; the body decoded as JSON
+        for ``application/json``, as text otherwise.
 
         Transport failure marks the shard down (the probe loop revives
         it) and re-raises; HTTP-level errors come back as plain status
-        codes for the caller to interpret.  Probe calls run on their
-        own executor so a saturated data path can never time out a
-        health check and spuriously mark a live shard down.
+        codes for the caller to interpret.
         """
         budget = (self.config.client_timeout_s if timeout_s is None
                   else timeout_s)
-        pool = self._probe_io if probe else self._io
-        loop = asyncio.get_running_loop()
+        spec = self.shards[sid]
+        payload = b"" if body is None else json.dumps(body).encode()
+        request = (f"{method} {path} HTTP/1.1\r\n"
+                   f"Host: {spec.host}:{spec.port}\r\n"
+                   f"Content-Type: application/json\r\n"
+                   f"Content-Length: {len(payload)}\r\n\r\n"
+                   ).encode() + payload
         try:
-            return await with_deadline(
-                loop.run_in_executor(pool, self._pools[sid].request,
-                                     method, path, body),
-                budget)
+            status, headers, raw = await with_deadline(
+                self._exchange(sid, request), budget)
+            if not headers.get("content-type", "").startswith(
+                    "application/json"):
+                return status, raw.decode(errors="replace"), headers
+            try:
+                return status, json.loads(raw) if raw else {}, headers
+            except ValueError as exc:
+                raise ServeClientError(
+                    f"undecodable response body from shard {sid}: "
+                    f"{raw[:200]!r}") from exc
         except (ServeClientError, DeadlineExceededError, OSError):
             self._mark_down(sid)
             raise
+
+    async def _exchange(self, sid: str, request: bytes,
+                        ) -> tuple[int, dict[str, str], bytes]:
+        """Send one request and read its reply; a transport error is
+        retried once on a new connection, an unopenable one is not."""
+        idle = self._idle[sid]
+        for attempt in (1, 2):
+            reader, writer = (idle.pop() if idle and attempt == 1
+                              else await self._connect(sid))
+            try:
+                writer.write(request)
+                await writer.drain()
+                status, headers, raw = await read_response(
+                    reader, self.config.client_timeout_s)
+                break
+            except (OSError, asyncio.IncompleteReadError, HttpError) as exc:
+                writer.close()
+                if attempt == 2:
+                    raise ServeClientError(
+                        f"cannot reach shard {sid}: {exc}") from exc
+            except BaseException:
+                writer.close()      # deadline or cancellation: hang up
+                raise
+        if headers.get("connection") == "close" or self._stopped:
+            writer.close()
+        else:
+            idle.append((reader, writer))
+        return status, headers, raw
+
+    async def _connect(self, sid: str) -> tuple[asyncio.StreamReader,
+                                                asyncio.StreamWriter]:
+        spec = self.shards[sid]
+        return await with_deadline(
+            asyncio.open_connection(spec.host, spec.port),
+            _CONNECT_TIMEOUT_S)
 
     def _mark_down(self, sid: str) -> None:
         if sid not in self._down:
@@ -382,8 +301,7 @@ class Router:
                     try:
                         status, _payload, _hdrs = await self._shard_call(
                             sid, "GET", "/healthz",
-                            timeout_s=self.config.probe_timeout_s,
-                            probe=True)
+                            timeout_s=_PROBE_TIMEOUT_S)
                     except (ReproError, OSError):
                         continue
                     if status == 200:
@@ -411,10 +329,8 @@ class Router:
         return obj, job_key(request), request
 
     async def _admit(self, body: bytes) -> tuple[dict, str, Any]:
-        loop = asyncio.get_running_loop()
         return await with_deadline(
-            loop.run_in_executor(self._io, self._admit_sync, body),
-            self.config.admit_timeout_s)
+            asyncio.to_thread(self._admit_sync, body), _ADMIT_TIMEOUT_S)
 
     # ------------------------------------------------------------------
     # Solve (sync path, hedged)
@@ -445,13 +361,19 @@ class Router:
                 self.metrics.observe_latency(time.monotonic() - t0)
                 job = self._register(sid, key, obj, payload)
                 payload = dict(payload, job_id=job.rid)
-            extra = {}
-            if "retry-after" in hdrs:
-                extra["Retry-After"] = hdrs["retry-after"]
-            return status, payload if isinstance(payload, dict) \
-                else {"error": str(payload)}, extra
+            return self._reply(status, payload, hdrs)
         raise HttpError(503, "no shard could take the job: "
                              + "; ".join(errors or ["none alive"]))
+
+    @staticmethod
+    def _reply(status: int, payload: Any,
+               hdrs: dict) -> tuple[int, dict, dict]:
+        """A shard's answer as the router's: a text body becomes an
+        error payload, and the shard's Retry-After is passed on."""
+        extra = ({"Retry-After": hdrs["retry-after"]}
+                 if "retry-after" in hdrs else {})
+        return status, payload if isinstance(payload, dict) \
+            else {"error": str(payload)}, extra
 
     def _hedge_delay(self) -> float:
         """Current hedge trigger: factor x rolling p50, clamped.
@@ -468,7 +390,7 @@ class Router:
         p50 = window[len(window) // 2]
         return min(self.config.hedge_max_s,
                    max(self.config.hedge_min_s,
-                       self.config.hedge_factor * p50))
+                       _HEDGE_FACTOR * p50))
 
     @staticmethod
     def _abandon(task: asyncio.Task) -> None:
@@ -565,14 +487,10 @@ class Router:
                 errors.append(f"{sid}: {exc}")
                 self.metrics.inc("failovers")
                 continue
-            extra = {}
-            if "retry-after" in hdrs:
-                extra["Retry-After"] = hdrs["retry-after"]
             if status in (200, 202) and isinstance(payload, dict):
                 job = self._register(sid, key, obj, payload)
                 payload = dict(payload, job_id=job.rid)
-            return status, payload if isinstance(payload, dict) \
-                else {"error": str(payload)}, extra
+            return self._reply(status, payload, hdrs)
         raise HttpError(503, "no shard could take the job: "
                              + "; ".join(errors or ["none alive"]))
 
@@ -588,7 +506,7 @@ class Router:
         return job
 
     def _purge_jobs(self) -> None:
-        excess = len(self._jobs) - self.config.retain_jobs
+        excess = len(self._jobs) - _RETAIN_JOBS
         if excess <= 0:
             return
         for rid in [r for r in self._jobs
@@ -657,7 +575,7 @@ class Router:
         """
         if job.final is not None or job.busy:
             return
-        if job.attempts > self.config.max_requeue:
+        if job.attempts > _MAX_REQUEUE:
             job.final = {"job_id": job.rid, "status": "error",
                          "attempts": job.attempts, "cached": False,
                          "error": f"lost after shard failure ({reason}); "
@@ -706,16 +624,13 @@ class Router:
         frame = await read_stream_head(reader, headers)
         try:
             key = await with_deadline(
-                asyncio.get_running_loop().run_in_executor(
-                    self._io, job_key, frame.request),
-                self.config.admit_timeout_s)
+                asyncio.to_thread(job_key, frame.request), _ADMIT_TIMEOUT_S)
         except ReproError as exc:
             raise HttpError(400, str(exc), close=True) from exc
         sid = self._alive_order(key)[0]
         spec = self.shards[sid]
         try:
-            shard_reader, shard_writer = await with_deadline(
-                asyncio.open_connection(spec.host, spec.port), 5.0)
+            shard_reader, shard_writer = await self._connect(sid)
         except (OSError, DeadlineExceededError) as exc:
             self._mark_down(sid)
             raise HttpError(503, f"shard {sid} unreachable for stream "
@@ -763,9 +678,6 @@ class Router:
                                  "relay") from None
         self.metrics.inc("stream_relays")
         self.metrics.inc("stream_relay_bytes", by=float(frame.total))
-        extra = {}
-        if "retry-after" in shard_headers:
-            extra["Retry-After"] = shard_headers["retry-after"]
         if status in (200, 202) and isinstance(payload, dict) \
                 and "job_id" in payload:
             # resubmission body: the original request around the graph's
@@ -777,8 +689,7 @@ class Router:
                 **frame.request.params["graph"]["stream"])
             job = self._register(sid, key, body, payload)
             payload = dict(payload, job_id=job.rid)
-        return status, payload if isinstance(payload, dict) \
-            else {"error": str(payload)}, extra
+        return self._reply(status, payload, shard_headers)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -820,4 +731,4 @@ class Router:
 
 async def run_router(config: MeshConfig) -> None:
     """Entry point used by ``repro mesh up``."""
-    await Router(config).serve_forever()
+    await serve_forever(Router(config), "repro mesh")

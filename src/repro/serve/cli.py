@@ -19,7 +19,7 @@ import json
 import sys
 
 from ..errors import ReproError
-from .server import ServeConfig, Server
+from .server import ServeConfig, Server, run_server
 
 __all__ = ["add_serve_parser", "serve_main"]
 
@@ -99,7 +99,7 @@ def _serve(args) -> int:
           f"(workers={config.workers}, batch_max={config.batch_max}, "
           f"queue_limit={config.queue_limit})", file=sys.stderr)
     try:
-        asyncio.run(Server(config).serve_forever())
+        asyncio.run(run_server(config))
     except KeyboardInterrupt:
         pass
     return 0

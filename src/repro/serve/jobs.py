@@ -265,9 +265,11 @@ class JobManager:
                 "it via POST /v1/stream")
         if self._queued_count >= self.queue_limit:
             self.metrics.inc("shed")
-            raise QueueFullError(
+            exc = QueueFullError(
                 f"admission queue full ({self.queue_limit} queued); "
                 "retry later")
+            exc.retry_after_s = self.retry_after_hint()
+            raise exc
         job.graph = graph
         self.jobs[job_id] = job
         self._queued_count += 1

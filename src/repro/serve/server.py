@@ -3,7 +3,9 @@
 Pure stdlib by design (the container has no web framework and the repo
 bakes in that constraint); the protocol subset is exactly what the
 client and the load harness speak: ``Content-Length``-framed requests
-with JSON bodies, keep-alive connections, no chunked encoding.
+with JSON bodies, keep-alive connections, no chunked encoding.  The
+connection and signal loops are the mesh router's too, in
+:mod:`repro.serve.http`; this module holds the shard's routes.
 
 Routes::
 
@@ -24,28 +26,29 @@ and the frame head reader in :mod:`repro.serve.stream`, so the mesh
 router can relay the same bytes).
 
 Error mapping: :class:`ServeProtocolError` → 400,
-:class:`JobNotFoundError` → 404, oversized body → 413,
-:class:`QueueFullError` → 429 with ``Retry-After``,
-:class:`DeadlineExceededError` on a sync wait → 504 (the job keeps its
-handle and can still be polled).  Anything else → 500 with the error
-text — never a traceback mid-connection.
+:class:`JobNotFoundError` → 404, :class:`QueueFullError` → 429 with
+``Retry-After``, :class:`DeadlineExceededError` on a sync wait → 504
+(the job keeps its handle and can still be polled).  A bad or
+oversized Content-Length (400, 413) or any ``Transfer-Encoding`` (501)
+also closes the connection.  Any other :class:`ReproError` → 500 with
+the error text — never a traceback mid-connection.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import os
-import signal
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import (DeadlineExceededError, JobNotFoundError,
                       QueueFullError, ReproError, ServeProtocolError)
 from ..lab.cache import ResultCache
 from ..lab.journal import RunJournal
-from .http import MAX_BODY, HttpError, read_body, read_head, write_response
-from .jobs import Job, JobManager, with_deadline
+from .http import HttpError, handle_connection, serve_forever
+from .jobs import JobManager, with_deadline
 from .metrics import Metrics
 from .protocol import parse_job_request
 from .stream import ingest_stream
@@ -55,6 +58,10 @@ __all__ = ["ServeConfig", "Server", "run_server"]
 #: Sync requests whose estimated size is below this run in "auto" mode
 #: without a handle round-trip; bigger ones get a 202 + job handle.
 _AUTO_SYNC_PINS = 200_000
+
+#: Exception class → status for errors a shard's handlers raise.
+_STATUSES = ((ServeProtocolError, 400), (JobNotFoundError, 404),
+             (QueueFullError, 429), (ReproError, 500))
 
 
 @dataclass
@@ -77,7 +84,6 @@ class ServeConfig:
     #: Debug-only worker slowdown (seconds per job) injected by the
     #: mesh harness to manufacture a slow shard; 0 disables it.
     debug_slow_s: float = 0.0
-    extra: dict = field(default_factory=dict)
 
 
 class Server:
@@ -108,7 +114,10 @@ class Server:
     async def start(self) -> None:
         self.manager.start()
         self._server = await asyncio.start_server(  # analyze: allow(serve-timeout) — bind/listen at startup; nothing to time-box yet and failure must propagate to the CLI
-            self._handle_connection, self.config.host, self.config.port)
+            functools.partial(handle_connection, route=self._route,
+                              stream=self._handle_stream,
+                              metrics=self.metrics, statuses=_STATUSES),
+            self.config.host, self.config.port)
         self.port = self._server.sockets[0].getsockname()[1]
         self._started_ts = time.time()
         if self.journal is not None:
@@ -124,91 +133,6 @@ class Server:
         if self.journal is not None:
             self.journal.record("serve_stop")
             self.journal.close()
-
-    async def serve_forever(self) -> None:
-        """Run until SIGTERM/SIGINT; then shut down gracefully."""
-        import sys
-        await self.start()
-        # machine-parseable ready line (tests and scripts bind port 0)
-        print(f"repro serve listening on {self.config.host}:{self.port}",
-              file=sys.stderr, flush=True)
-        stop_event = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, stop_event.set)
-            except (NotImplementedError, RuntimeError):
-                pass  # platform without signal support in the loop
-        try:
-            await stop_event.wait()  # analyze: allow(serve-timeout) — the process-lifetime wait; bounding it would mean a server that exits on a timer
-        finally:
-            await self.stop()
-
-    # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        self.metrics.inc("http_connections")
-        try:
-            while True:
-                try:
-                    head = await read_head(reader)
-                except DeadlineExceededError:
-                    break           # idle keep-alive connection: hang up
-                except HttpError as exc:
-                    await write_response(
-                        writer, exc.status, {"error": str(exc)},
-                        exc.headers, keep_alive=False)
-                    break
-                if head is None:
-                    break           # clean EOF between requests
-                method, target, headers = head
-                self.metrics.inc("http_requests")
-                force_close = False
-                try:
-                    if (method == "POST"
-                            and target.split("?", 1)[0] == "/v1/stream"):
-                        status, payload, extra = await self._handle_stream(
-                            reader, headers)
-                    else:
-                        body = await read_body(reader, headers,
-                                               max_body=MAX_BODY)
-                        status, payload, extra = await self._route(
-                            method, target, body)
-                except HttpError as exc:
-                    status = exc.status
-                    payload = {"error": str(exc)}
-                    extra = exc.headers
-                    force_close = exc.close
-                except ServeProtocolError as exc:
-                    status, payload, extra = 400, {"error": str(exc)}, {}
-                except JobNotFoundError as exc:
-                    status, payload, extra = 404, {"error": str(exc)}, {}
-                except QueueFullError as exc:
-                    self.metrics.inc("http_429")
-                    status = 429
-                    payload = {"error": str(exc)}
-                    extra = {"Retry-After":
-                             str(self.manager.retry_after_hint())}
-                except ReproError as exc:
-                    status, payload, extra = 500, {"error": str(exc)}, {}
-                keep_alive = (headers.get("connection", "") != "close"
-                              and not force_close)
-                await write_response(writer, status, payload,
-                                     extra, keep_alive)
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client went away mid-exchange; nothing to answer
-        except Exception:  # analyze: allow(silent-except) — one broken connection must never take down the accept loop; the request is already journalled
-            pass
-        finally:
-            try:
-                writer.close()
-                await with_deadline(writer.wait_closed(), 2.0)
-            except (Exception, DeadlineExceededError):  # analyze: allow(silent-except) — socket teardown race; the fd is closed either way
-                pass
 
     # ------------------------------------------------------------------
     # Routing
@@ -298,4 +222,4 @@ class Server:
 
 async def run_server(config: ServeConfig | None = None) -> None:
     """Entry point used by ``repro serve``."""
-    await Server(config).serve_forever()
+    await serve_forever(Server(config), "repro serve")

@@ -132,20 +132,26 @@ ROWS = [
              "test_only_core_workers_starts_processes"),
 
     # -- the event loop ------------------------------------------------
+    # probes and data calls share nothing but the idle stack; one
+    # asyncio.Lock per shard makes a probe wait behind hung data calls
     row("probes-share-the-data-executor", ROUTER,
-        ("        pool = self._probe_io if probe else self._io\n",
-         "        pool = self._io\n"),
-        test="tests/mesh/test_hedge_cleanup.py::TestProbeExecutor::"
-             "test_probe_returns_while_data_calls_hold_every_io_thread"),
+        ("        self._stopped = False\n",
+         "        self._stopped = False\n"
+         "        self._locks = {sid: asyncio.Lock() for sid in self.shards}\n"),
+        ("            status, headers, raw = await with_deadline(\n"
+         "                self._exchange(sid, request), budget)\n",
+         "            async with self._locks[sid]:\n"
+         "                status, headers, raw = await with_deadline(\n"
+         "                    self._exchange(sid, request), budget)\n"),
+        test="tests/mesh/test_hedge_cleanup.py::TestProbeIsolation::"
+             "test_probe_returns_while_data_calls_hang"),
     row("hedge-loser-not-cancelled", ROUTER,
         ("        self._abandon(loser)\n", ""),
         test="tests/mesh/test_hedge_cleanup.py::TestHedgeCleanup::"
              "test_loser_is_cancelled_when_winner_returns"),
-    row("sync-lock-on-a-coroutine-path", ROUTER,
-        ("    def request(self, method: str, path: str,",
-         "    async def request(self, method: str, path: str,"),
-        rules={"async-blocking"}),
     row("threading-lock-on-the-hedge-path", ROUTER,
+        ("import json\nimport time\n",
+         "import json\nimport threading\nimport time\n"),
         ("        self._lat: deque[float] = deque(maxlen=_LATENCY_WINDOW)\n",
          "        self._lat: deque[float] = deque(maxlen=_LATENCY_WINDOW)\n"
          "        self._lat_lock = threading.Lock()\n"),
@@ -153,13 +159,6 @@ ROWS = [
          "        with self._lat_lock:\n"
          "            window = sorted(self._lat)\n"),
         rules={"async-blocking"}),
-    # a non-reentrant lock re-taken by its holder: no rule models it
-    row("close-under-own-lock", ROUTER,
-        ("                self._idle.append(client)\n",
-         "                self._idle.append(client)\n"
-         "                if len(self._idle) > 64:\n"
-         "                    self.close()\n"),
-        test=None),
     row("sleep-in-batcher", JOBS,
         (BATCHER_GET, BATCHER_GET + "            time.sleep(0)\n"),
         rules={"async-blocking"}),

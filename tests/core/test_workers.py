@@ -209,6 +209,15 @@ def test_only_core_workers_starts_processes():
     assert _spawning_calls(ast.parse(primitive.read_text()))
 
 
+def test_nothing_in_src_imports_concurrent_futures():
+    """No executor pools: processes start in core.workers, and the mesh
+    router calls its shards on its event loop."""
+    users = sorted(str(path.relative_to(SRC))
+                   for path in (SRC / "repro").rglob("*.py")
+                   if "concurrent.futures" in _imported_modules(path))
+    assert users == []
+
+
 _SHM_MODULES = {"repro.core.shm", "multiprocessing.shared_memory"}
 
 

@@ -1,29 +1,98 @@
-"""Hedged-dispatch and shutdown task hygiene (no sockets).
+"""Hedged dispatch, shard transport and shutdown hygiene.
 
 Regression tests for the task-lifecycle dogfood fixes: every attempt
 task spawned by ``_dispatch_hedged`` is cancelled (and its exception
 retrieved) when the dispatch is abandoned — deadline, caller
-cancellation, or both attempts failing — the probe loop survives
+cancellation, or both attempts failing — and the probe loop survives
 surprise exceptions instead of dying and leaving down shards down
-forever, a health probe never queues behind data calls, and a shard
-call that outlives the router's shutdown closes its own client.
+forever.  The transport tests run the router's shard calls against
+:class:`FakeShard`, an asyncio server inside the test: a health probe
+never waits behind data calls, a cancelled hedge loser hangs up on its
+shard, a stale keep-alive connection is retried once, and a connection
+that outlives the router's shutdown is closed, not pooled.
 """
 
 from __future__ import annotations
 
 import asyncio
-import threading
 
 import pytest
 
 from repro.errors import DeadlineExceededError, ServeClientError
 from repro.mesh import MeshConfig, Router, ShardSpec
+from repro.serve.http import MAX_BODY, read_body, read_head, write_response
+from repro.serve.jobs import with_deadline
 
 
 def _bare_router(count: int = 3, **overrides) -> Router:
     shards = tuple(ShardSpec(f"s{i}", "127.0.0.1", 1 + i)
                    for i in range(count))
     return Router(MeshConfig(shards=shards, **overrides))
+
+
+class FakeShard:
+    """An asyncio HTTP server standing in for a shard.
+
+    ``GET /healthz`` is answered at once.  Every other request is
+    answered at once too, unless ``hang`` (never answered: the handler
+    waits for the router to hang up) or ``release`` (answered once the
+    event is set).  ``close_after_reply`` ends each connection after
+    one reply, which still says keep-alive.  ``connections`` counts the
+    connections opened, ``held`` the requests left unanswered, ``eofs``
+    the connections the router closed, ``closed`` the ones that ended.
+    """
+
+    def __init__(self, *, hang: bool = False,
+                 release: asyncio.Event | None = None,
+                 close_after_reply: bool = False) -> None:
+        self.hang = hang
+        self.release = release
+        self.close_after_reply = close_after_reply
+        self.connections = self.held = self.eofs = self.closed = 0
+
+    async def start(self) -> "FakeShard":
+        self._server = await asyncio.start_server(self._serve,
+                                                  "127.0.0.1", 0)
+        self.port = self._server.sockets[0].getsockname()[1]
+        return self
+
+    async def stop(self) -> None:
+        self._server.close()
+        await self._server.wait_closed()
+
+    async def _serve(self, reader, writer) -> None:
+        self.connections += 1
+        try:
+            while (head := await read_head(reader)) is not None:
+                _method, path, headers = head
+                await read_body(reader, headers, max_body=MAX_BODY)
+                if path != "/healthz" and (self.hang or self.release):
+                    self.held += 1
+                    if self.hang:
+                        await reader.read()     # returns at EOF
+                        break
+                    await self.release.wait()
+                await write_response(writer, 200, {"path": path})
+                if self.close_after_reply:
+                    return
+            self.eofs += 1
+        finally:
+            self.closed += 1
+            writer.close()
+
+
+def _router_for(*fakes: FakeShard, **overrides) -> Router:
+    shards = tuple(ShardSpec(f"s{i}", "127.0.0.1", fake.port)
+                   for i, fake in enumerate(fakes))
+    return Router(MeshConfig(shards=shards, **overrides))
+
+
+async def _until(predicate, timeout_s: float = 5.0) -> None:
+    """Wait until ``predicate()`` holds; DeadlineExceededError after."""
+    async def poll() -> None:
+        while not predicate():
+            await asyncio.sleep(0.005)
+    await with_deadline(poll(), timeout_s)
 
 
 class _SlowCalls:
@@ -124,39 +193,45 @@ class TestHedgeCleanup:
             assert router.metrics.counters["hedge_cancelled"] == 1
         asyncio.run(main())
 
-
-class TestProbeExecutor:
-    def test_probe_returns_while_data_calls_hold_every_io_thread(self):
-        # a probe queued behind saturated data calls times out and marks
-        # a live shard down; probes run on their own executor
+    def test_cancelled_loser_hangs_up_on_its_shard(self):
         async def main():
-            router = _bare_router(io_threads=4)
-            release = threading.Event()
-            held: list[str] = []
+            slow = await FakeShard(hang=True).start()
+            fast = await FakeShard().start()
+            router = _router_for(slow, fast, hedge=True, hedge_min_s=0.01,
+                                 hedge_max_s=0.01, client_timeout_s=30.0)
+            status, payload, _ = await router._dispatch_hedged(
+                "s0", "s1", {})
+            assert (status, payload) == (200, {"path": "/v1/partition"})
+            assert router.metrics.counters["hedge_cancelled"] == 1
+            await _until(lambda: slow.eofs == 1)
+            await router.stop()
+            await slow.stop()
+            await fast.stop()
+        asyncio.run(main())
 
-            def fake_request(method, path, body=None):
-                if path != "/healthz":
-                    held.append(path)
-                    release.wait(30)
-                return 200, {"path": path}, {}
 
-            for pool in router._pools.values():
-                pool.request = fake_request
-            threads = max(4, router.config.io_threads)
+class TestProbeIsolation:
+    def test_probe_returns_while_data_calls_hang(self):
+        # a probe queued behind hung data calls times out and marks a
+        # live shard down; no call waits for another
+        async def main():
+            shard = await FakeShard(hang=True).start()
+            router = _router_for(shard)
             data = [asyncio.create_task(router._shard_call(
                         "s0", "POST", "/v1/jobs", {}, timeout_s=30.0))
-                    for _ in range(threads)]
+                    for _ in range(32)]
             try:
-                while len(held) < threads:
-                    await asyncio.sleep(0.005)
+                await _until(lambda: shard.held == 32)
                 status, payload, _ = await router._shard_call(
-                    "s0", "GET", "/healthz", timeout_s=0.5, probe=True)
+                    "s0", "GET", "/healthz", timeout_s=0.5)
                 assert (status, payload) == (200, {"path": "/healthz"})
                 assert "s0" not in router._down
             finally:
-                release.set()
+                for task in data:
+                    task.cancel()
                 await asyncio.gather(*data, return_exceptions=True)
                 await router.stop()
+                await shard.stop()
         asyncio.run(main())
 
 
@@ -183,48 +258,64 @@ class TestProbeLoopResilience:
         asyncio.run(main())
 
 
-class TestRouterShutdownCleanup:
-    def test_stop_cancels_probe_task_and_closes_executors(self):
+class TestTransport:
+    def test_pooled_connection_closed_by_the_shard_is_retried(self):
         async def main():
-            router = _bare_router()
+            shard = await FakeShard(close_after_reply=True).start()
+            router = _router_for(shard)
+            assert (await router._shard_call("s0", "GET", "/x"))[0] == 200
+            assert len(router._idle["s0"]) == 1    # the reply said keep-alive
+            await _until(lambda: shard.closed == 1)
+            status, payload, _ = await router._shard_call("s0", "GET", "/y")
+            assert (status, payload) == (200, {"path": "/y"})
+            assert shard.connections == 2 and "s0" not in router._down
+            await router.stop()
+            await shard.stop()
+        asyncio.run(main())
+
+    def test_refused_connection_marks_the_shard_down(self):
+        async def main():
+            router = _bare_router()         # nothing listens on port 1
+            with pytest.raises(OSError):
+                await router._shard_call("s0", "GET", "/healthz",
+                                         timeout_s=2.0)
+            assert router._down == {"s0"}
+        asyncio.run(main())
+
+
+class TestRouterShutdownCleanup:
+    def test_stop_ends_probe_and_idle_connections(self):
+        async def main():
+            shard = await FakeShard().start()
+            router = _router_for(shard)
             await router.start()
             probe = router._probe_task
             assert probe is not None and not probe.done()
+            for path in ("/x", "/y"):
+                assert (await router._shard_call("s0", "GET", path))[0] \
+                    == 200
+            assert shard.connections == 1 and len(router._idle["s0"]) == 1
             await router.stop()
             assert probe.cancelled() or probe.done()
-            assert router._io._shutdown
-            assert router._probe_io._shutdown
+            assert router._idle["s0"] == []
+            await _until(lambda: shard.eofs == 1)
+            await shard.stop()
         asyncio.run(main())
 
-    def test_call_finishing_after_close_closes_its_client(self,
-                                                           monkeypatch):
-        """A shard call still running when the router stops must not put
-        its keep-alive client back into the closed pool."""
-        from repro.mesh import router as router_mod
-
-        started, release = threading.Event(), threading.Event()
-        clients = []
-
-        class FakeClient:
-            def __init__(self, host, port, timeout_s):
-                self.closed = False
-                clients.append(self)
-
-            def _request(self, method, path, body):
-                started.set()
-                release.wait(10)
-                return 200, {}, {}
-
-            def close(self):
-                self.closed = True
-
-        monkeypatch.setattr(router_mod, "ServeClient", FakeClient)
-        pool = router_mod._ClientPool(ShardSpec("s0", "127.0.0.1", 1), 5.0)
-        call = threading.Thread(target=pool.request, args=("GET", "/x"))
-        call.start()
-        assert started.wait(10)
-        pool.close()
-        release.set()
-        call.join(10)
-        assert [c.closed for c in clients] == [True]
-        assert pool._idle == []
+    def test_call_finishing_after_close_closes_its_client(self):
+        """A shard call still running when the router stops must close
+        its keep-alive connection instead of pooling it."""
+        async def main():
+            release = asyncio.Event()
+            shard = await FakeShard(release=release).start()
+            router = _router_for(shard)
+            call = asyncio.create_task(
+                router._shard_call("s0", "GET", "/x"))
+            await _until(lambda: shard.held == 1)
+            await router.stop()
+            release.set()
+            assert (await call)[0] == 200
+            assert router._idle["s0"] == []
+            await _until(lambda: shard.eofs == 1)
+            await shard.stop()
+        asyncio.run(main())

@@ -74,8 +74,7 @@ class TestHedgeDelay:
         assert router._hedge_delay() == 1.0
 
     def test_fast_traffic_clamps_to_min(self):
-        router = _bare_router(hedge_min_s=0.05, hedge_max_s=1.0,
-                              hedge_factor=4.0)
+        router = _bare_router(hedge_min_s=0.05, hedge_max_s=1.0)
         router._lat.extend([0.002] * 32)
         assert router._hedge_delay() == 0.05
 
@@ -85,8 +84,7 @@ class TestHedgeDelay:
         assert router._hedge_delay() == 1.0
 
     def test_midrange_tracks_p50_not_tail(self):
-        router = _bare_router(hedge_min_s=0.05, hedge_max_s=5.0,
-                              hedge_factor=4.0)
+        router = _bare_router(hedge_min_s=0.05, hedge_max_s=5.0)
         # one contaminating outlier must not move the trigger
         router._lat.extend([0.05] * 20 + [4.0])
         assert router._hedge_delay() == pytest.approx(0.2)

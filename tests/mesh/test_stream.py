@@ -5,8 +5,9 @@ reach a worker without ever being JSON-materialised: the shard writes
 chunks straight into the graph's arrays, the job holds the graph and
 the forked batch worker inherits it.  These tests pin the wire format
 (digest is chunking-independent), the job manager's bounded graph
-cache, the rejection of malformed frame heads by the shard and the
-router alike, and the end-to-end path against a real server.
+cache, the rejection of malformed frame heads and of bodies the
+connection loop will not read by the shard and the router alike, and
+the end-to-end path against a real server.
 """
 
 from __future__ import annotations
@@ -24,14 +25,14 @@ import pytest
 
 from repro.errors import ServeProtocolError
 from repro.generators import streaming_uniform_hypergraph
-from repro.mesh import MeshConfig, ShardSpec
-from repro.mesh.harness import RouterThread
-from repro.serve import ServeClient, ServeConfig, parse_job_request
+from repro.mesh import MeshConfig, Router, ShardSpec
+from repro.mesh.harness import LoopThread
+from repro.serve import ServeClient, ServeConfig, Server, parse_job_request
+from repro.serve.http import MAX_BODY
 from repro.serve.jobs import _RETAIN_GRAPHS, JobManager, with_deadline
 from repro.serve.protocol import MAX_PINS
 from repro.serve.stream import (MAGIC, STREAM_CONTENT_TYPE, csr_digest,
                                 encode_stream, stream_graph_spec)
-from tests.serve.conftest import ServerThread
 
 
 def graph():
@@ -150,10 +151,10 @@ def shm_names() -> set[str]:
 
 @pytest.fixture(scope="module")
 def server(tmp_path_factory):
-    st = ServerThread(ServeConfig(
+    st = LoopThread(Server(ServeConfig(
         host="127.0.0.1", port=0,
         cache_dir=str(tmp_path_factory.mktemp("cache")),
-        batch_window_s=0.005, workers=1))
+        batch_window_s=0.005, workers=1)))
     st.start()
     yield st
     st.stop()
@@ -163,7 +164,7 @@ class TestEndToEnd:
     def test_stream_solves_and_matches_inline_result(self, server):
         g = graph()
         before = shm_names()
-        counters = server.server.metrics.counters
+        counters = server.app.metrics.counters
         with ServeClient("127.0.0.1", server.port, timeout_s=60) as c:
             handle = c.stream(REQUEST, graph=g)
             done = handle if handle["status"] == "done" \
@@ -182,12 +183,12 @@ class TestEndToEnd:
             # against, not stored again, and the result is a cache hit
             ptr, pins = g.csr()
             ref = f"csr:{csr_digest(ptr, pins)}"
-            resident = server.server.manager.cached_graph(ref)
+            resident = server.app.manager.cached_graph(ref)
             reused = counters.get("stream_graph_reuse", 0)
             again = c.stream(REQUEST, graph=g)
             assert again.get("cached"), again
             assert counters["stream_graph_reuse"] == reused + 1
-            assert server.server.manager.cached_graph(ref) is resident
+            assert server.app.manager.cached_graph(ref) is resident
 
             # resubmitting by content address alone is a cache hit
             spec = stream_graph_spec(csr_digest(ptr, pins), g.n,
@@ -236,16 +237,16 @@ class TestEndToEnd:
     def test_unnormalised_csr_is_rejected_at_ingest(self, server):
         """Edge pins out of order fail the graph's own CSR check in the
         server: a 400, and nothing is cached or admitted."""
-        graphs = dict(server.server.manager._graphs)
+        graphs = dict(server.app.manager._graphs)
         with ServeClient("127.0.0.1", server.port, timeout_s=30) as c:
             with pytest.raises(ServeProtocolError, match="unnormalised"):
                 c.stream(REQUEST, n=4, ptr=np.array([0, 2, 4]),
                          pins=np.array([2, 1, 0, 3]))
-        assert server.server.manager._graphs == graphs
+        assert server.app.manager._graphs == graphs
 
     def test_keep_alive_reuses_one_connection(self, server):
         """submit + polls + health all ride a single TCP connection."""
-        before = server.server.metrics.counters.get("http_connections", 0)
+        before = server.app.metrics.counters.get("http_connections", 0)
         with ServeClient("127.0.0.1", server.port, timeout_s=30) as c:
             req = {"op": "partition",
                    "graph": {"generator": {"kind": "random", "n": 40,
@@ -256,7 +257,7 @@ class TestEndToEnd:
             c.wait(handle["job_id"], timeout_s=30)
             c.health()
             c.metrics_text()
-        after = server.server.metrics.counters.get("http_connections", 0)
+        after = server.app.metrics.counters.get("http_connections", 0)
         assert after - before == 1
 
 
@@ -267,27 +268,49 @@ def _head(header: dict) -> bytes:
 
 GOOD_HEADER = {"request": REQUEST, "csr": {"n": 4, "m": 1, "pins": 2},
                "digest": "ab" * 32}
+STREAM = "/v1/stream"
 
-#: (id, request body or None for no Content-Length, status).  Each body
-#: ends where the reader stops, so the reply is never lost to a reset.
+#: (id, path, header line or None, body or None, status).  Without a
+#: header line a body gets its own Content-Length, and None sends none.
+#: Each body ends where the reader stops, so the reply is never lost to
+#: a reset.
 MALFORMED_HEADS = [
-    ("no-content-length", None, 411),
-    ("bad-magic", b"RMSH0\n", 400),
-    ("header-over-1MiB", MAGIC + struct.pack("<I", (1 << 20) + 1), 400),
-    ("header-not-json", MAGIC + struct.pack("<I", 9) + b"{not json", 400),
-    ("header-rejected", _head({**GOOD_HEADER, "digest": "xyz"}), 400),
-    ("frame-past-content-length", MAGIC + struct.pack("<I", 64), 400),
-    ("pins-over-MAX_PINS",
+    ("no-content-length", STREAM, None, None, 411),
+    ("bad-magic", STREAM, None, b"RMSH0\n", 400),
+    ("header-over-1MiB", STREAM, None,
+     MAGIC + struct.pack("<I", (1 << 20) + 1), 400),
+    ("header-not-json", STREAM, None,
+     MAGIC + struct.pack("<I", 9) + b"{not json", 400),
+    ("header-rejected", STREAM, None,
+     _head({**GOOD_HEADER, "digest": "xyz"}), 400),
+    ("frame-past-content-length", STREAM, None,
+     MAGIC + struct.pack("<I", 64), 400),
+    ("pins-over-MAX_PINS", STREAM, None,
      _head({**GOOD_HEADER, "csr": {"n": 4, "m": 1, "pins": MAX_PINS + 1}}),
      413),
+] + [
+    # bodies the connection loop will not read: none is sent, and the
+    # connection must close rather than wait for them
+    (f"{name}-{path.rsplit('/', 1)[1]}", path, header, None, status)
+    for path in ("/v1/partition", STREAM)
+    for name, header, status in (
+        ("content-length-abc", "Content-Length: abc", 400),
+        ("content-length-negative", "Content-Length: -5", 400),
+        ("content-length-over-MAX_BODY",
+         f"Content-Length: {MAX_BODY + 1}", 413),
+        ("transfer-encoding-chunked", "Transfer-Encoding: chunked", 501),
+    )
 ]
 
 
-def _post_stream(port: int, body: bytes | None) -> tuple[int, bool]:
+def _post(port: int, path: str, header: str | None,
+          body: bytes | None) -> tuple[int, bool]:
     """(status, whether the peer closed the connection after replying)."""
-    head = (f"POST /v1/stream HTTP/1.1\r\nHost: 127.0.0.1:{port}\r\n"
+    head = (f"POST {path} HTTP/1.1\r\nHost: 127.0.0.1:{port}\r\n"
             f"Content-Type: {STREAM_CONTENT_TYPE}\r\n")
-    if body is not None:
+    if header is not None:
+        head += f"{header}\r\n"
+    elif body is not None:
         head += f"Content-Length: {len(body)}\r\n"
     with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
         sock.sendall(head.encode() + b"\r\n" + (body or b""))
@@ -307,32 +330,35 @@ def _post_stream(port: int, body: bytes | None) -> tuple[int, bool]:
 
 @pytest.fixture(scope="module")
 def router(server):
-    rt = RouterThread(MeshConfig(
-        shards=(ShardSpec("s0", "127.0.0.1", server.port),))).start()
+    rt = LoopThread(Router(MeshConfig(
+        shards=(ShardSpec("s0", "127.0.0.1", server.port),)))).start()
     yield rt
     rt.stop()
 
 
 class TestMalformedHead:
-    """Shard and router read the frame head with one function, so each
-    malformed head gets the same status from both, and a closed
-    connection: the rest of the body is never read."""
+    """Shard and router read the frame head with one function and run
+    one connection loop, so each malformed head or unread body gets the
+    same status from both, and a closed connection: the rest of the
+    body is never read, nor parsed as the next request."""
 
-    @pytest.mark.parametrize("body,status",
+    @pytest.mark.parametrize("path,header,body,status",
                              [c[1:] for c in MALFORMED_HEADS],
                              ids=[c[0] for c in MALFORMED_HEADS])
-    def test_shard_rejects_and_closes(self, server, body, status):
+    def test_shard_rejects_and_closes(self, server, path, header, body,
+                                      status):
         before = shm_names()
-        graphs = dict(server.server.manager._graphs)
-        assert _post_stream(server.port, body) == (status, True)
-        assert server.server.manager._graphs == graphs
+        graphs = dict(server.app.manager._graphs)
+        assert _post(server.port, path, header, body) == (status, True)
+        assert server.app.manager._graphs == graphs
         assert shm_names() == before
 
-    @pytest.mark.parametrize("body,status",
+    @pytest.mark.parametrize("path,header,body,status",
                              [c[1:] for c in MALFORMED_HEADS],
                              ids=[c[0] for c in MALFORMED_HEADS])
-    def test_router_rejects_and_closes(self, router, body, status):
-        relays = router.router.metrics.counters.get("stream_relays", 0)
-        assert _post_stream(router.port, body) == (status, True)
-        assert router.router.metrics.counters.get("stream_relays",
-                                                  0) == relays
+    def test_router_rejects_and_closes(self, router, path, header, body,
+                                       status):
+        relays = router.app.metrics.counters.get("stream_relays", 0)
+        assert _post(router.port, path, header, body) == (status, True)
+        assert router.app.metrics.counters.get("stream_relays",
+                                               0) == relays

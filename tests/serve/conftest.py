@@ -1,74 +1,32 @@
 """Shared harness: a real Server on an ephemeral port in a thread.
 
-The event loop runs in a daemon thread; tests drive it through the
-blocking :class:`repro.serve.ServeClient` exactly like an external
-process would — the full HTTP stack is exercised, nothing is mocked.
+The event loop runs in a daemon thread (:class:`repro.mesh.harness.
+LoopThread`); tests drive it through the blocking
+:class:`repro.serve.ServeClient` exactly like an external process
+would — the full HTTP stack is exercised, nothing is mocked.
 """
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
-import threading
 
 import pytest
 
+from repro.mesh.harness import LoopThread
 from repro.serve import ServeConfig, Server
-
-
-class ServerThread:
-    """Run one Server inside a private event loop thread."""
-
-    def __init__(self, config: ServeConfig) -> None:
-        self.server = Server(config)
-        self.loop = asyncio.new_event_loop()
-        self._stopped = threading.Event()
-        self._thread = threading.Thread(target=self._main, daemon=True)
-        self._stop_evt: asyncio.Event | None = None
-
-    def _main(self) -> None:
-        asyncio.set_event_loop(self.loop)
-
-        async def run() -> None:
-            await self.server.start()
-            self._stop_evt = asyncio.Event()
-            self._ready.set()
-            await self._stop_evt.wait()
-            await self.server.stop()
-
-        self._ready = threading.Event()
-        self.loop.run_until_complete(run())
-        self.loop.close()
-        self._stopped.set()
-
-    def start(self) -> "ServerThread":
-        self._ready = threading.Event()
-        self._thread.start()
-        if not self._ready.wait(timeout=10):
-            raise RuntimeError("server failed to start within 10s")
-        return self
-
-    @property
-    def port(self) -> int:
-        return self.server.port
-
-    def stop(self) -> None:
-        if self._stop_evt is not None:
-            self.loop.call_soon_threadsafe(self._stop_evt.set)
-        self._stopped.wait(timeout=15)
 
 
 @pytest.fixture
 def serve_factory(tmp_path):
     """Yields a function starting servers; all are stopped at teardown."""
-    started: list[ServerThread] = []
+    started: list[LoopThread] = []
 
-    def factory(**overrides) -> ServerThread:
+    def factory(**overrides) -> LoopThread:
         kwargs = dict(host="127.0.0.1", port=0,
                       cache_dir=str(tmp_path / "cache"),
                       batch_window_s=0.005, workers=2)
         kwargs.update(overrides)
-        st = ServerThread(ServeConfig(**kwargs)).start()
+        st = LoopThread(Server(ServeConfig(**kwargs))).start()
         started.append(st)
         return st
 
