@@ -58,46 +58,35 @@ def _rendered(report) -> list[str]:
 def run(repeats: int = 3) -> dict:
     """Best-of-N cold and warm self-analysis timings.
 
-    Every run — cold, parallel, and warm — executes with
-    ``REPRO_ANALYZE_CACHE`` pointed at a scratch directory, so a warm
-    ``.analyze-cache/`` in the working tree (or any future code path
-    that falls back to the default cache location) cannot skew the
-    committed numbers.
+    Cold and parallel runs open no cache; the warm runs use a scratch
+    directory, so a warm ``.analyze-cache/`` in the working tree cannot
+    skew the committed numbers.
     """
     paths = [ROOT / p for p in PATHS]
+    cold_s = []
+    cold_report = None
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        cold_report = run_analysis(paths)
+        cold_s.append(time.perf_counter() - t0)
+
+    par_s = []
+    par_report = None
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        par_report = run_analysis(paths, jobs=PARALLEL_JOBS)
+        par_s.append(time.perf_counter() - t0)
+
     with tempfile.TemporaryDirectory(prefix="analyze-bench-") as tmp:
-        saved = os.environ.get("REPRO_ANALYZE_CACHE")
-        os.environ["REPRO_ANALYZE_CACHE"] = str(Path(tmp) / "env-cache")
-        try:
-            cold_s = []
-            cold_report = None
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                cold_report = run_analysis(paths)
-                cold_s.append(time.perf_counter() - t0)
-
-            par_s = []
-            par_report = None
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                par_report = run_analysis(paths, jobs=PARALLEL_JOBS)
-                par_s.append(time.perf_counter() - t0)
-
-            cache = Path(tmp) / "cache"
-            warm_fill = run_analysis(paths, incremental=True,
-                                     cache_dir=cache)
-            warm_s = []
-            warm_report = None
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                warm_report = run_analysis(paths, incremental=True,
-                                           cache_dir=cache)
-                warm_s.append(time.perf_counter() - t0)
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_ANALYZE_CACHE", None)
-            else:
-                os.environ["REPRO_ANALYZE_CACHE"] = saved
+        cache = Path(tmp) / "cache"
+        warm_fill = run_analysis(paths, incremental=True, cache_dir=cache)
+        warm_s = []
+        warm_report = None
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            warm_report = run_analysis(paths, incremental=True,
+                                       cache_dir=cache)
+            warm_s.append(time.perf_counter() - t0)
 
     return {
         "config": {"paths": list(PATHS), "repeats": repeats},

@@ -4,7 +4,14 @@ heuristics in practice", Section 1/4).
 Regenerates: the practical counterpoint to the inapproximability
 results — on SpMV fine-grain hypergraphs and hyperDAG workloads the
 multilevel+FM heuristic beats random and greedy baselines by a large
-factor, and on planted instances it approaches the planted cut.
+factor.
+
+The one planted instance here, ``planted_partition_hypergraph(120, 4,
+300, 15, rng=3)``, has a planted cut of 21, and multilevel reaches it at
+partitioner seeds 0–9; :func:`check_quality` asserts only that
+multilevel stays under half of random on it.  Larger planted instances
+are far from their planted cut: the V-cycle gives 2.13–2.92x at 10^5
+pins over five seeds, and 1.10–3.71x at 10^6 pins over seven.
 """
 
 from __future__ import annotations

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Single CI entry point: tier-1 tests, the lab smoke tier, the serve
-# smoke tier, the mesh chaos smoke tier, and (optionally) the
-# perf-regression gates.
+# Single CI entry point, in order: the static analysis gate (repro
+# analyze), mypy and ruff when installed, the tier-1 tests (in dev
+# mode, with leaked files, sockets and pipes as errors), the lab, serve,
+# scale, sim and mesh smoke tiers, and (optionally) the perf-regression
+# gates.
 #
 # Usage:
-#   scripts/ci_checks.sh            # tests + lab smoke
+#   scripts/ci_checks.sh            # everything but the perf gates
 #   scripts/ci_checks.sh --bench    # also run the benchcheck marker
 #
 # Environment:
@@ -47,8 +49,13 @@ else
 fi
 
 echo
-echo "== tier-1 test suite =="
-python -m pytest -x -q
+echo "== tier-1 test suite (dev mode, resource warnings are errors) =="
+# A ResourceWarning is mostly raised in a finalizer, where pytest can
+# only report it as an unraisable-exception warning; the second filter
+# makes that warning fail the test.  It goes to pytest's own -W because
+# the interpreter's -W cannot import pytest at startup.
+python -X dev -W error::ResourceWarning -m pytest \
+    -W error::pytest.PytestUnraisableExceptionWarning -x -q
 
 echo
 echo "== lab smoke tier (repro lab run --smoke) =="

@@ -16,10 +16,9 @@ machine-checked instead of tribal:
     silent excepts, float tolerance, serve timeouts);
   - :mod:`repro.analyze.passes` — structural repo rules plus the
     determinism / fork-safety / rng-provenance dataflow passes;
-  - :mod:`repro.analyze.cache`, :mod:`repro.analyze.baseline`,
-    :mod:`repro.analyze.sarif`, :mod:`repro.analyze.fix` — the
-    incremental cache, grandfathering baseline, SARIF 2.1.0 export,
-    and the ``--fix`` autofixer.
+  - :mod:`repro.analyze.cache` — the ``--incremental`` summary cache;
+  - :mod:`repro.analyze.cli` — the ``repro analyze`` verb (text or
+    JSON output, ``--fail-on`` exit status).
 
 * :mod:`repro.analyze.sanitize` — runtime checks (CSR well-formedness,
   partition validity, balance, hyperDAG certificates) injected at

@@ -30,8 +30,7 @@ requires.
 :func:`witness_path` reconstructs the shortest edge path from a source
 node to a goal through edges an ``edge_ok`` predicate admits — the
 passes use it to turn "this bad state reaches function exit" into a
-concrete, replayable path (and the SARIF exporter into a
-``codeFlow``).
+concrete, replayable path (``Finding.flow``).
 """
 
 from __future__ import annotations

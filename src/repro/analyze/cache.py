@@ -13,11 +13,6 @@ leaves a half-written summary, and corrupt or version-skewed entries
 read as misses.  The key includes :data:`~repro.analyze.index
 .ENGINE_VERSION`, so shipping new rules invalidates every entry
 without a manual flush.
-
-The default directory honours the ``REPRO_ANALYZE_CACHE`` environment
-variable (an explicit ``cache_dir`` argument still wins): benchmarks
-and CI point it at a scratch directory so the host's warm cache can
-neither skew timings nor leak state into a measured run.
 """
 
 from __future__ import annotations
@@ -37,10 +32,8 @@ DEFAULT_CACHE_DIR = ".analyze-cache"
 
 class SummaryCache:
     def __init__(self, cache_dir: str | Path | None = None) -> None:
-        if cache_dir is None:
-            cache_dir = (os.environ.get("REPRO_ANALYZE_CACHE")
-                         or DEFAULT_CACHE_DIR)
-        self.dir = Path(cache_dir)
+        self.dir = Path(cache_dir if cache_dir is not None
+                        else DEFAULT_CACHE_DIR)
 
     def _entry(self, posix: str, raw: bytes) -> Path:
         h = hashlib.sha256()
@@ -62,32 +55,6 @@ class SummaryCache:
             return ModuleSummary.from_json(data)
         except (KeyError, TypeError, ValueError):
             return None
-
-    def evict_path(self, posix: str) -> int:
-        """Drop every cached summary for ``posix``; returns count.
-
-        The content-addressed key needs the file's bytes, which a
-        deleted file no longer has — so eviction scans entries and
-        matches on the recorded path instead.  Unreadable entries are
-        skipped (they already read as misses).
-        """
-        evicted = 0
-        try:
-            entries = sorted(self.dir.glob("*/*.json"))
-        except OSError:
-            return 0
-        for entry in entries:
-            try:
-                data = json.loads(entry.read_text())
-            except (OSError, ValueError):
-                continue
-            if isinstance(data, dict) and data.get("path") == posix:
-                try:
-                    entry.unlink()
-                    evicted += 1
-                except OSError:
-                    continue
-        return evicted
 
     def put(self, posix: str, raw: bytes, summary: ModuleSummary) -> None:
         entry = self._entry(posix, raw)

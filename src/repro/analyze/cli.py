@@ -1,16 +1,13 @@
 """``repro analyze`` — run the whole-program analysis from the CLI.
 
-Exit status: 0 when no *new* finding is at or above ``--fail-on``
-(grandfathered baseline entries never fail the run), 1 otherwise, and
-2 when ``--fix`` refuses to run (dirty git tree).
+Exit status: 0 when no finding is at or above ``--fail-on``, 1
+otherwise.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
-from .baseline import DEFAULT_BASELINE, Baseline, write_baseline
 from .engine import run_analysis, severity_at_least
 
 __all__ = ["add_analyze_parser", "analyze_main"]
@@ -23,111 +20,45 @@ def add_analyze_parser(sub) -> None:
         "analyze",
         help="whole-program static analysis: file-local rules, "
              "call-graph dataflow passes (determinism, fork-safety, "
-             "rng-provenance), incremental cache, SARIF + baselines")
+             "rng-provenance), path-sensitive passes, incremental cache")
     p.add_argument("paths", nargs="*", default=list(_DEFAULT_PATHS),
                    help="files or directories to analyze "
                         f"(default: {' '.join(_DEFAULT_PATHS)})")
-    p.add_argument("--format", choices=("text", "json", "sarif"),
+    p.add_argument("--format", choices=("text", "json"),
                    default="text", dest="fmt",
                    help="output format (default: text)")
     p.add_argument("--incremental", action="store_true",
                    help="reuse per-module summaries from the "
                         "content-addressed .analyze-cache/")
-    p.add_argument("--changed", action="store_true",
-                   help="report only findings in git-changed modules "
-                        "plus their reverse-dependency closure")
     p.add_argument("--cache-dir", default=None,
                    help="summary cache location (default: .analyze-cache)")
     p.add_argument("--jobs", "-j", type=int, default=1,
                    help="parse/summarise modules across N worker "
                         "processes (findings are byte-identical to "
                         "serial; default: 1)")
-    p.add_argument("--fail-on", choices=("note", "warning", "error",
-                                         "never"),
+    p.add_argument("--fail-on", choices=("warning", "error"),
                    default="warning", dest="fail_on",
-                   help="lowest severity of a NEW finding that fails the "
+                   help="lowest severity of a finding that fails the "
                         "run (default: warning)")
-    p.add_argument("--baseline", default=None,
-                   help="grandfathering baseline (default: "
-                        f"{DEFAULT_BASELINE} when present)")
-    p.add_argument("--write-baseline", action="store_true",
-                   help="accept all current findings into the baseline "
-                        "and exit")
-    p.add_argument("--fix", action="store_true",
-                   help="apply the mechanical autofixes first (clean "
-                        "git tree required)")
-    p.add_argument("--stats", action="store_true",
-                   help="print cache reuse and file counts")
 
 
 def analyze_main(args) -> int:
-    if getattr(args, "fix", False):
-        from .fix import FixRefused, apply_fixes
-
-        try:
-            applied = apply_fixes(args.paths)
-        except FixRefused as exc:
-            print(f"repro analyze --fix: {exc}")
-            return 2
-        for fix in applied:
-            print(f"fixed {fix.path}:{fix.line}: {fix.rule}: "
-                  f"{fix.description}")
-
-    report = run_analysis(
-        args.paths,
-        incremental=getattr(args, "incremental", False),
-        cache_dir=getattr(args, "cache_dir", None),
-        changed_only=getattr(args, "changed", False),
-        jobs=max(1, getattr(args, "jobs", 1) or 1))
+    report = run_analysis(args.paths, incremental=args.incremental,
+                          cache_dir=args.cache_dir,
+                          jobs=max(1, args.jobs))
     findings = report.findings
-
-    baseline_path = getattr(args, "baseline", None)
-    if baseline_path is None and Path(DEFAULT_BASELINE).exists():
-        baseline_path = DEFAULT_BASELINE
-    if getattr(args, "write_baseline", False):
-        target = baseline_path or DEFAULT_BASELINE
-        n = write_baseline(target, findings)
-        print(f"repro analyze: wrote {n} "
-              f"entr{'y' if n == 1 else 'ies'} to {target}")
-        return 0
-
-    new, grandfathered, stale = findings, [], []
-    if baseline_path is not None:
-        bl = Baseline(baseline_path)
-        if bl.error:
-            print(f"repro analyze: warning: {bl.error}")
-        new, grandfathered = bl.split(findings)
-        stale = bl.stale_notes(findings)
-    reported = sorted(new + stale)
 
     if args.fmt == "json":
         print(json.dumps({
-            "findings": [f.to_json() for f in reported],
-            "grandfathered": len(grandfathered),
+            "findings": [f.to_json() for f in findings],
             "files": report.files,
             "reused": report.reused,
         }, indent=2))
-    elif args.fmt == "sarif":
-        from .sarif import to_sarif
-
-        print(json.dumps(to_sarif(sorted(findings + stale)), indent=2))
     else:
-        for f in reported:
+        for f in findings:
             print(f.render())
-        if grandfathered:
-            print(f"repro analyze: {len(grandfathered)} grandfathered "
-                  f"finding(s) suppressed by {baseline_path}")
-        if report.scope_note:
-            print(f"repro analyze: {report.scope_note}")
-        if getattr(args, "stats", False):
-            print(f"repro analyze: {report.files} file(s), "
-                  f"{report.reused} summarie(s) from cache, "
-                  f"{report.extracted} extracted")
-        n = len(reported)
+        n = len(findings)
         print(f"repro analyze: {n} finding{'s' if n != 1 else ''}")
 
-    fail_on = getattr(args, "fail_on", "warning")
-    if fail_on == "never":
-        return 0
-    return 1 if any(severity_at_least(f.severity, fail_on)
-                    for f in reported) else 0
+    return 1 if any(severity_at_least(f.severity, args.fail_on)
+                    for f in findings) else 0

@@ -70,12 +70,12 @@ PRAGMA_RES = (
 )
 
 #: Severity ranking used by ``--fail-on`` (higher = more severe).
-_SEVERITY_RANK = {"note": 0, "warning": 1, "error": 2}
+_SEVERITY_RANK = {"warning": 0, "error": 1}
 
 
 def severity_at_least(severity: str, threshold: str) -> bool:
     """True when ``severity`` is at or above the ``--fail-on`` bar."""
-    return _SEVERITY_RANK.get(severity, 2) >= _SEVERITY_RANK.get(threshold, 2)
+    return _SEVERITY_RANK.get(severity, 1) >= _SEVERITY_RANK.get(threshold, 1)
 
 
 @dataclass(frozen=True, order=True)
@@ -86,7 +86,7 @@ class Finding:
     witness path as ``(path, line, note)`` steps from the fact that
     introduces the bad state to the point where it becomes an error.
     The text rendering stays one line (the message embeds a compact
-    witness); SARIF output expands ``flow`` into a ``codeFlow``.
+    witness); JSON output prints ``flow`` step by step.
     """
 
     path: str
@@ -240,7 +240,6 @@ class AnalysisReport:
     files: int = 0
     reused: int = 0            # summaries served from .analyze-cache/
     extracted: int = 0         # summaries rebuilt by parsing
-    scope_note: str = ""       # human note for --changed filtering
 
 
 def run_analysis(
@@ -248,8 +247,6 @@ def run_analysis(
     *,
     incremental: bool = False,
     cache_dir: str | Path | None = None,
-    changed_only: bool = False,
-    root: str | Path | None = None,
     jobs: int = 1,
 ) -> AnalysisReport:
     """Run the full pipeline over ``paths``.
@@ -260,10 +257,6 @@ def run_analysis(
     run whole-program over the summaries, so a change in module B is
     re-judged against *every* module that imports it — the reverse
     dependency closure — without re-parsing those importers.
-
-    ``changed_only`` restricts the *reported* findings to modules
-    changed per git plus their reverse-dependency closure (a fast
-    pre-commit view; CI gates on the unfiltered run).
 
     ``jobs > 1`` fans stage-1 extraction out over a process pool.
     Parallelism only changes who parses: cache-miss modules are
@@ -325,11 +318,8 @@ def run_analysis(
         replace(f, severity=meta.get(f.rule, ("error",))[0])
         for f in findings)
 
-    report = AnalysisReport(findings=findings, files=len(summaries),
-                            reused=reused, extracted=extracted)
-    if changed_only:
-        _filter_changed(report, index, root, cache)
-    return report
+    return AnalysisReport(findings=findings, files=len(summaries),
+                          reused=reused, extracted=extracted)
 
 
 def _read_bytes(path: Path) -> bytes | None:
@@ -360,34 +350,6 @@ def _extract_many(items: list[tuple[Path, bytes]], jobs: int) -> list:
 
     return [None if d is None else ModuleSummary.from_json(d)
             for d in fork_map(_extract_worker, items, jobs)]
-
-
-def _filter_changed(report: AnalysisReport, index, root,
-                    cache=None) -> None:
-    """Keep findings in git-changed modules + reverse-dep closure.
-
-    Paths git reports that no longer exist on disk (deleted, or the
-    old name of a rename) are dropped from scope — they still *root*
-    the reverse-dependency closure, since their importers' verdicts
-    may have changed — and their stale cache summaries are evicted.
-    """
-    from .index import changed_scope
-
-    scope = changed_scope(index, root)
-    if scope is None:
-        report.scope_note = ("--changed: not a git checkout; "
-                             "reporting everything")
-        return
-    paths, n_changed, missing = scope
-    report.findings = [f for f in report.findings if f.path in paths]
-    report.scope_note = (f"--changed: {n_changed} changed module(s), "
-                         f"{len(paths)} in reverse-dependency scope")
-    if missing:
-        report.scope_note += (f"; dropped {len(missing)} deleted/renamed "
-                              "path(s)")
-        if cache is not None:
-            for posix in missing:
-                cache.evict_path(posix)
 
 
 def analyze_paths(paths: Sequence[str | Path]) -> list[Finding]:

@@ -15,9 +15,8 @@ while the whole-program link/check stages still see exactly the data a
 cold parse would have produced.
 
 :class:`ModuleIndex` joins summaries into a project: dotted-name
-resolution across modules (including ``from x import y as z`` aliasing
-and re-exports through ``__init__.py`` chains) and the module
-dependency graph used by ``--changed``'s reverse-dependency closure.
+resolution across modules, including ``from x import y as z`` aliasing
+and re-exports through ``__init__.py`` chains.
 
 Known, documented approximations:
 
@@ -34,8 +33,6 @@ from __future__ import annotations
 
 import ast
 import io
-import os
-import subprocess
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,7 +44,6 @@ __all__ = [
     "ENGINE_VERSION",
     "ModuleIndex",
     "ModuleSummary",
-    "changed_scope",
     "extract_summary",
     "load_source",
     "module_name_for",
@@ -834,89 +830,3 @@ class ModuleIndex:
         else:
             return None
         return ".".join([resolved] + rest)
-
-    def dependencies(self) -> dict[str, set[str]]:
-        """module -> set of project modules it imports/calls into."""
-        names = set(self.by_module)
-        out: dict[str, set[str]] = {s.module: set() for s in self.summaries}
-        for s in self.summaries:
-            targets = list(s.imports.values())
-            for records in s.calls.values():
-                targets.extend(r[1] for r in records)
-            for t in targets:
-                parts = t.split(".")
-                for i in range(len(parts), 0, -1):
-                    mod = ".".join(parts[:i])
-                    if mod in names and mod != s.module:
-                        out[s.module].add(mod)
-                        break
-        return out
-
-    def reverse_closure(self, roots: Iterable[str]) -> set[str]:
-        """Roots plus every module that transitively depends on them."""
-        deps = self.dependencies()
-        rev: dict[str, set[str]] = {m: set() for m in deps}
-        for m, ds in deps.items():
-            for d in ds:
-                rev.setdefault(d, set()).add(m)
-        seen = set()
-        stack = [r for r in roots if r in rev or r in deps]
-        while stack:
-            m = stack.pop()
-            if m in seen:
-                continue
-            seen.add(m)
-            stack.extend(rev.get(m, ()))
-        return seen
-
-
-def _git_lines(args: list[str], cwd) -> list[str] | None:
-    try:
-        proc = subprocess.run(["git", *args], cwd=cwd, text=True,
-                              capture_output=True, timeout=30)
-    except (OSError, subprocess.SubprocessError):
-        return None
-    if proc.returncode != 0:
-        return None
-    return [ln for ln in proc.stdout.splitlines() if ln.strip()]
-
-
-def changed_scope(index: ModuleIndex, root=None):
-    """(paths-in-scope, n-changed, missing) per git, or None outside.
-
-    Scope = modules whose files changed vs HEAD (worktree + index +
-    untracked) plus their reverse-dependency closure — the modules
-    whose analysis verdict could have been altered by the change.
-
-    ``missing`` lists git-reported ``.py`` paths that no longer exist
-    on disk (deletions, old names of renames), as repo-relative posix
-    strings.  They cannot be analysed, but they still *root* the
-    closure: modules that imported a deleted module are exactly the
-    ones whose verdict the deletion may have changed.
-    """
-    cwd = Path(root) if root is not None else Path.cwd()
-    top = _git_lines(["rev-parse", "--show-toplevel"], cwd)
-    if not top:
-        return None
-    toplevel = Path(top[0])
-    # --no-renames: a rename must surface its *old* path too (as a
-    # deletion) so the stale cache summary is evicted and the old
-    # module's importers root the closure.
-    changed = _git_lines(["diff", "--name-only", "--no-renames", "HEAD"],
-                         cwd)
-    untracked = _git_lines(["ls-files", "--others", "--exclude-standard"],
-                           cwd)
-    if changed is None:
-        return None
-    reported = changed + (untracked or [])
-    missing = sorted({Path(p).as_posix() for p in reported
-                      if p.endswith(".py")
-                      and not (toplevel / p).exists()})
-    changed_real = {os.path.realpath(toplevel / p) for p in reported
-                    if (toplevel / p).exists()}
-    roots = [s.module for s in index.summaries
-             if os.path.realpath(s.path) in changed_real]
-    roots += [module_name_for(Path(p)) for p in missing]
-    scope = index.reverse_closure(roots)
-    paths = {s.path for s in index.summaries if s.module in scope}
-    return paths, len(roots), missing

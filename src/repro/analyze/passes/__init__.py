@@ -11,8 +11,8 @@ interprocedural dataflow passes (:mod:`.determinism`,
 :mod:`.fork_safety`, :mod:`.rng_provenance`, :mod:`.async_blocking`).
 
 ``RULE_META`` is the registry of every rule/pass id with its severity
-and one-line invariant; the CLI's ``--fail-on`` gate, the SARIF rule
-table, and ``docs/ANALYZE.md`` all key off it.
+and one-line invariant; the CLI's ``--fail-on`` gate and
+``docs/ANALYZE.md`` both key off it.
 """
 
 from __future__ import annotations
@@ -86,9 +86,6 @@ RULE_META: dict[str, tuple[str, str]] = {
     "unused-pragma": (
         "warning",
         "a pragma that suppresses nothing is removed, not left to rot"),
-    "stale-baseline": (
-        "note",
-        "baseline entries that no longer match any finding are pruned"),
 }
 
 

@@ -15,8 +15,7 @@ Roots are all ``async def`` functions in ``src`` modules under
 project call graph (:class:`~repro.analyze.callgraph.CallGraph`):
 reachability is interprocedural, so a *sync* helper three calls deep
 still gets flagged — at the blocking call site, with the coroutine
-and witness chain in the message and an interprocedural ``flow`` for
-SARIF.
+and witness chain in the message and an interprocedural ``flow``.
 
 ``asyncio.to_thread(fn, ...)`` and ``loop.run_in_executor(None, fn)``
 offloads are exempt by construction: ``fn`` is passed as an argument,

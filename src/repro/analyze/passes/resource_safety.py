@@ -6,8 +6,8 @@ analysis: each function (and the module body) is lowered to a CFG
 over it (:mod:`repro.analyze.absint`).  A resource that may reach the
 function's normal exit — or, the headline case, its *exception* exit —
 still acquired is an error, anchored at the acquisition site and
-carrying a replayable witness path (rendered into the message and, via
-``Finding.flow``, into a SARIF ``codeFlow``).
+carrying a replayable witness path (rendered into the message and
+kept step by step in ``Finding.flow``).
 
 Tracked acquisitions (owned resources only; attaching to an existing
 segment is out of scope exactly as before):

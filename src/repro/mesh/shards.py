@@ -30,6 +30,10 @@ __all__ = ["ShardSpec", "ShardSupervisor"]
 
 _READY_RE = re.compile(r"repro serve listening on ([\d.]+):(\d+)")
 _STDERR_TAIL = 50
+#: How long reaping a shard waits for its stderr to reach EOF.  A forked
+#: batch worker of a SIGKILLed shard holds the pipe's write end until it
+#: finishes its batch and exits.
+_DRAIN_JOIN_S = 10.0
 
 
 @dataclass(frozen=True)
@@ -55,14 +59,20 @@ class _Child:
 
     def _drain_stderr(self) -> None:
         assert self.proc.stderr is not None
-        for raw in self.proc.stderr:
-            line = raw.decode(errors="replace").rstrip()
-            self.tail.append(line)
-            match = _READY_RE.search(line)
-            if match:
-                self.port = int(match.group(2))
-                self.ready.set()
+        with self.proc.stderr as pipe:      # the drain owns the pipe
+            for raw in pipe:
+                line = raw.decode(errors="replace").rstrip()
+                self.tail.append(line)
+                match = _READY_RE.search(line)
+                if match:
+                    self.port = int(match.group(2))
+                    self.ready.set()
         self.ready.set()            # EOF: unblock waiters (port stays None)
+
+    def reap(self) -> None:
+        """Wait for the process to exit and its stderr pipe to close."""
+        self.proc.wait(timeout=10)
+        self._drain.join(_DRAIN_JOIN_S)
 
 
 class ShardSupervisor:
@@ -119,7 +129,7 @@ class ShardSupervisor:
         child = self._children[sid]
         if child.proc.poll() is None:
             os.kill(child.proc.pid, signal.SIGKILL)
-        child.proc.wait(timeout=10)
+        child.reap()
 
     def restart(self, sid: str) -> ShardSpec:
         """Bring a killed shard back **on its original port**.
@@ -129,20 +139,21 @@ class ShardSupervisor:
         """
         if self.alive(sid):
             raise MeshError(f"shard {sid} is still running")
+        self._children[sid].reap()
         self._children[sid] = self._spawn(sid, port=self._ports[sid])
         self._ports[sid] = self._await_ready(sid)
         return ShardSpec(sid, self.host, self._ports[sid])
 
     def stop_all(self) -> None:
-        for sid, child in self._children.items():
+        for child in self._children.values():
             if child.proc.poll() is None:
                 child.proc.terminate()
-        for sid, child in self._children.items():
+        for child in self._children.values():
             try:
                 child.proc.wait(timeout=10)
             except subprocess.TimeoutExpired:
                 os.kill(child.proc.pid, signal.SIGKILL)
-                child.proc.wait(timeout=10)
+            child.reap()
 
     def __enter__(self) -> "ShardSupervisor":
         return self
@@ -179,7 +190,7 @@ class ShardSupervisor:
                 or child.port is None:
             if child.proc.poll() is None:
                 child.proc.kill()
-                child.proc.wait(timeout=10)
+            child.reap()
             tail = "\n".join(child.tail)
             raise MeshError(f"shard {sid} never reported ready; "
                             f"stderr tail:\n{tail}")

@@ -62,8 +62,9 @@ ALGORITHMS = ("multilevel", "recursive", "greedy", "spectral", "random",
 METRICS = ("connectivity", "cut-net")
 MODES = ("auto", "sync", "async")
 
-#: Hard ceiling on instance size accepted by the service (pins).  Keeps a
-#: single hostile request from exhausting worker memory.
+#: Hard ceiling on instance size accepted by the service: pins, and also
+#: nodes (and a stream's edges), since arrays are sized by those too.
+#: Keeps a single hostile request from exhausting worker memory.
 MAX_PINS = 5_000_000
 
 
@@ -131,7 +132,7 @@ def _parse_graph(graph: Any) -> tuple[dict, int]:
         return {"hgr": text}, est
     if kind == "edges":
         n = _as_int(graph.get("n"), "'graph.n'")
-        _require(n >= 0, "'graph.n' must be >= 0")
+        _require(0 <= n <= MAX_PINS, f"'graph.n' must be in 0..{MAX_PINS}")
         edges = graph["edges"]
         _require(isinstance(edges, list), "'graph.edges' must be a list")
         out = []
@@ -159,7 +160,8 @@ def _parse_graph(graph: Any) -> tuple[dict, int]:
         n = _as_int(csr.get("n"), "'graph.csr.n'")
         ptr = _int_list(csr.get("ptr"), "'graph.csr.ptr'")
         pins = _int_list(csr.get("pins"), "'graph.csr.pins'")
-        _require(n >= 0, "'graph.csr.n' must be >= 0")
+        _require(0 <= n <= MAX_PINS,
+                 f"'graph.csr.n' must be in 0..{MAX_PINS}")
         _require(len(ptr) >= 1 and ptr[0] == 0 and ptr[-1] == len(pins),
                  "'graph.csr.ptr' must start at 0 and end at len(pins)")
         _require(all(a <= b for a, b in zip(ptr, ptr[1:])),
@@ -203,6 +205,8 @@ def _parse_stream_ref(ref: Any) -> tuple[dict, int]:
     for key in ("n", "m", "pins"):
         dims[key] = _as_int(ref.get(key), f"'graph.stream.{key}'")
         _require(dims[key] >= 0, f"'graph.stream.{key}' must be >= 0")
+    _require(dims["n"] <= MAX_PINS,
+             f"'graph.stream.n' must be at most {MAX_PINS}")
     spec = {"digest": digest, "n": dims["n"], "m": dims["m"],
             "pins": dims["pins"]}
     return {"stream": spec}, dims["pins"]

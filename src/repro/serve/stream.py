@@ -137,8 +137,9 @@ def request_from_header(header: Mapping[str, Any]) -> JobRequest:
     """Validate a stream frame header into a :class:`JobRequest`.
 
     Shared by the shard (ingest) and the router (routing key): both
-    must derive the *same* cache key from the same header bytes.  A pin
-    count over ``MAX_PINS`` is a 413 before anything is allocated.
+    must derive the *same* cache key from the same header bytes.  A
+    node, edge or pin count over ``MAX_PINS`` is a 413 before anything
+    is allocated.
     """
     if not isinstance(header, Mapping):
         raise ServeProtocolError("stream header must be a JSON object")
@@ -153,9 +154,11 @@ def request_from_header(header: Mapping[str, Any]) -> JobRequest:
                 f"stream header 'csr.{field}' must be a non-negative "
                 f"integer, got {v!r}")
         dims[field] = v
-    if dims["pins"] > MAX_PINS:
-        raise HttpError(413, f"{dims['pins']} pins exceeds the server "
-                             f"limit of {MAX_PINS}", close=True)
+    for field, v in dims.items():
+        if v > MAX_PINS:
+            raise HttpError(413, f"stream header 'csr.{field}' = {v} "
+                                 f"exceeds the server limit of {MAX_PINS}",
+                            close=True)
     digest = header.get("digest")
     if (not isinstance(digest, str) or len(digest) != 64
             or any(c not in "0123456789abcdef" for c in digest)):

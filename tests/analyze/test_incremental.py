@@ -1,4 +1,4 @@
-"""Incremental engine: cache reuse, invalidation, and --changed scope.
+"""Incremental engine: cache reuse, invalidation and parallel extraction.
 
 The contract under test: an ``--incremental`` run reports **the same
 findings as a cold run** (same objects, same order, same rendered
@@ -7,13 +7,11 @@ bytes) — only where stage-1 summaries come from differs.
 
 from __future__ import annotations
 
-import subprocess
 from pathlib import Path
 
 from repro.analyze.cache import SummaryCache
 from repro.analyze.engine import run_analysis
-from repro.analyze.index import (ModuleIndex, extract_summary,
-                                 load_source)
+from repro.analyze.index import extract_summary, load_source
 
 FILES = {
     "src/repro/alpha.py": (
@@ -124,104 +122,6 @@ class TestCacheReuse:
         assert cache.get(p.as_posix(), raw + b"\n# x\n") is None
 
 
-def _git(root, *args):
-    subprocess.run(
-        ["git", "-c", "user.email=ci@example.invalid",
-         "-c", "user.name=ci", *args],
-        cwd=root, check=True, capture_output=True)
-
-
-class TestChangedScope:
-    def test_outside_git_reports_everything(self, tmp_path):
-        src = build(tmp_path)
-        report = run_analysis([src], changed_only=True, root=tmp_path)
-        assert "not a git checkout" in report.scope_note
-        assert len(report.findings) == 2
-
-    def test_filters_to_reverse_dependency_closure(self, tmp_path,
-                                                   monkeypatch):
-        src = build(tmp_path)
-        _git(tmp_path, "init", "-q")
-        _git(tmp_path, "add", "-A")
-        _git(tmp_path, "commit", "-qm", "seed")
-        # Touch alpha only: scope = alpha + its importer gamma, so
-        # beta's finding is filtered out and alpha's stays.
-        (tmp_path / "src/repro/alpha.py").write_text(
-            FILES["src/repro/alpha.py"] + "# edited\n")
-        monkeypatch.chdir(tmp_path)
-        report = run_analysis([Path("src")], changed_only=True,
-                              root=tmp_path)
-        assert "1 changed module(s)" in report.scope_note
-        assert [f.path for f in report.findings] == ["src/repro/alpha.py"]
-
-    def test_untracked_file_counts_as_changed(self, tmp_path, monkeypatch):
-        src = build(tmp_path)
-        _git(tmp_path, "init", "-q")
-        _git(tmp_path, "add", "-A")
-        _git(tmp_path, "commit", "-qm", "seed")
-        (tmp_path / "src/repro/delta.py").write_text(
-            "import random\n"
-            "def d():\n"
-            "    return random.random()\n")
-        monkeypatch.chdir(tmp_path)
-        report = run_analysis([Path("src")], changed_only=True,
-                              root=tmp_path)
-        assert [f.path for f in report.findings] == ["src/repro/delta.py"]
-
-    def test_deleted_file_does_not_crash_and_is_noted(self, tmp_path,
-                                                      monkeypatch):
-        src = build(tmp_path)
-        _git(tmp_path, "init", "-q")
-        _git(tmp_path, "add", "-A")
-        _git(tmp_path, "commit", "-qm", "seed")
-        _git(tmp_path, "rm", "-q", "src/repro/beta.py")
-        monkeypatch.chdir(tmp_path)
-        report = run_analysis([Path("src")], changed_only=True,
-                              root=tmp_path)
-        assert "dropped 1 deleted/renamed path(s)" in report.scope_note
-        # beta is gone; nothing may reference it, nothing may crash
-        assert all("beta" not in f.path for f in report.findings)
-
-    def test_deleted_file_importers_stay_in_scope(self, tmp_path,
-                                                  monkeypatch):
-        src = build(tmp_path)
-        _git(tmp_path, "init", "-q")
-        _git(tmp_path, "add", "-A")
-        _git(tmp_path, "commit", "-qm", "seed")
-        # alpha has an importer (gamma): deleting alpha must still root
-        # the reverse closure at it, so gamma gets re-checked
-        _git(tmp_path, "rm", "-q", "src/repro/alpha.py")
-        monkeypatch.chdir(tmp_path)
-        report = run_analysis([Path("src")], changed_only=True,
-                              root=tmp_path)
-        scoped = {f.path for f in report.findings}
-        assert "src/repro/beta.py" not in scoped
-        assert "dropped 1 deleted/renamed path(s)" in report.scope_note
-
-    def test_renamed_file_evicts_stale_cache_summary(self, tmp_path,
-                                                     monkeypatch):
-        build(tmp_path)
-        _git(tmp_path, "init", "-q")
-        _git(tmp_path, "add", "-A")
-        _git(tmp_path, "commit", "-qm", "seed")
-        cache = tmp_path / "cache"
-        monkeypatch.chdir(tmp_path)
-        run_analysis([Path("src")], incremental=True, cache_dir=cache,
-                     root=tmp_path)
-        stale = [p for p in cache.rglob("*.json")
-                 if '"src/repro/beta.py"' in p.read_text()]
-        assert stale                         # summary cached under old name
-        _git(tmp_path, "mv", "src/repro/beta.py", "src/repro/renamed.py")
-        report = run_analysis([Path("src")], incremental=True,
-                              changed_only=True, cache_dir=cache,
-                              root=tmp_path)
-        assert "dropped 1 deleted/renamed path(s)" in report.scope_note
-        assert all(not p.exists() for p in stale)
-        # the new name's findings are reported under the new path
-        assert any(f.path == "src/repro/renamed.py"
-                   for f in report.findings)
-
-
 class TestParallelExtraction:
     def test_jobs_findings_are_byte_identical_to_serial(self, tmp_path):
         src = build(tmp_path)
@@ -246,14 +146,3 @@ class TestParallelExtraction:
         src = build(tmp_path)
         assert rendered(run_analysis([src], jobs=1)) \
             == rendered(run_analysis([src]))
-
-
-class TestDependencyClosure:
-    def test_reverse_closure_follows_imports(self, tmp_path):
-        build(tmp_path)
-        summaries = [extract_summary(load_source(p))
-                     for p in sorted((tmp_path / "src").rglob("*.py"))]
-        index = ModuleIndex(summaries)
-        assert index.reverse_closure(["repro.alpha"]) == {
-            "repro.alpha", "repro.gamma"}
-        assert index.reverse_closure(["repro.beta"]) == {"repro.beta"}

@@ -300,5 +300,4 @@ def test_mutation_is_reported_by_its_rules(mutant_tree, r):
 
 def test_every_rule_is_covered():
     covered = set().union(*(r.rules for r in ROWS))
-    # stale-baseline judges analyze-baseline.json, not a site under src/
-    assert covered == set(RULE_META) - {"stale-baseline"}
+    assert covered == set(RULE_META)

@@ -3,7 +3,7 @@
 Every pass gets at least one fixture that MUST fire (the bug class it
 exists for) and one that MUST stay clean (the remediation it
 recommends), plus checks that the CFG witness survives into
-``Finding.flow`` and the SARIF ``codeFlow``.
+``Finding.flow``.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.analyze import analyze_paths
-from repro.analyze.sarif import to_sarif
 
 
 def write(root: Path, rel: str, text: str) -> Path:
@@ -83,17 +82,6 @@ class TestResourceSafetyPaths:
                   "    return line\n")
         fs = analyze_paths([p])
         assert "resource-safety" in rules_of(fs)
-
-    def test_sarif_codeflow_replays_the_witness(self, tmp_path):
-        fs = analyze_paths([write(tmp_path, "src/repro/mod.py", self.TP)])
-        doc = to_sarif(fs)
-        (result,) = doc["runs"][0]["results"]
-        (thread,) = result["codeFlows"][0]["threadFlows"]
-        locs = thread["locations"]
-        assert len(locs) == len(fs[0].flow)
-        got = [(loc["location"]["physicalLocation"]["region"]["startLine"],
-                loc["location"]["message"]["text"]) for loc in locs]
-        assert got == [(ln, note) for _p, ln, note in fs[0].flow]
 
 
 class TestAsyncBlockingPaths:

@@ -1,11 +1,9 @@
 """Tier-1 gate: the committed tree is analyze-clean.
 
-Mirrors the CI gate's semantics (``repro analyze --fail-on=error``):
-findings grandfathered by the committed ``analyze-baseline.json`` are
-tolerated — *new* findings are not.  If this test fails, either fix
-the violation, add a ``# analyze: allow(<rule>) — <reason>`` pragma
-with a written reason, or (last resort, justified in the PR) accept it
-into the baseline.
+Stricter than the CI gate (``repro analyze --fail-on=error``): no
+finding of any severity is tolerated.  If this test fails, either fix
+the violation or add a ``# analyze: allow(<rule>) — <reason>`` pragma
+with a written reason.
 """
 
 from __future__ import annotations
@@ -13,26 +11,11 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.analyze import analyze_paths
-from repro.analyze.baseline import Baseline
 
 ROOT = Path(__file__).resolve().parents[2]
 
 
-def _findings():
-    return analyze_paths([ROOT / "src", ROOT / "tests",
-                          ROOT / "benchmarks"])
-
-
-def test_repo_has_no_findings_beyond_the_baseline():
-    bl = Baseline(ROOT / "analyze-baseline.json")
-    assert not bl.error, bl.error
-    new, _grandfathered = bl.split(_findings())
-    assert not new, "\n" + "\n".join(f.render() for f in new)
-
-
-def test_baseline_carries_no_stale_entries():
-    # grandfathering is for real findings only: entries whose finding
-    # disappeared must be pruned, not silently kept around
-    bl = Baseline(ROOT / "analyze-baseline.json")
-    stale = bl.stale_notes(_findings())
-    assert not stale, "\n" + "\n".join(f.render() for f in stale)
+def test_repo_has_no_findings():
+    findings = analyze_paths([ROOT / "src", ROOT / "tests",
+                              ROOT / "benchmarks"])
+    assert not findings, "\n" + "\n".join(f.render() for f in findings)

@@ -96,7 +96,7 @@ def test_kill_midrun_then_resume_matches_clean_run(tmp_path):
 
     # start a second run against a fresh cache and SIGKILL it mid-flight
     proc = subprocess.Popen(_driver_cmd(tmp_path, "killed", "killed.json"),
-                            stdout=subprocess.PIPE,
+                            stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL)
     cache_dir = tmp_path / "killed"
     deadline = time.time() + 30

@@ -288,6 +288,12 @@ MALFORMED_HEADS = [
     ("pins-over-MAX_PINS", STREAM, None,
      _head({**GOOD_HEADER, "csr": {"n": 4, "m": 1, "pins": MAX_PINS + 1}}),
      413),
+    ("n-over-MAX_PINS", STREAM, None,
+     _head({**GOOD_HEADER, "csr": {"n": MAX_PINS + 1, "m": 1, "pins": 2}}),
+     413),
+    ("m-over-MAX_PINS", STREAM, None,
+     _head({**GOOD_HEADER, "csr": {"n": 4, "m": MAX_PINS + 1, "pins": 2}}),
+     413),
 ] + [
     # bodies the connection loop will not read: none is sent, and the
     # connection must close rather than wait for them
@@ -362,3 +368,19 @@ class TestMalformedHead:
         assert _post(router.port, path, header, body) == (status, True)
         assert router.app.metrics.counters.get("stream_relays",
                                                0) == relays
+
+
+class TestOversizedNodeCount:
+    """A JSON graph whose node count alone would exhaust a worker's
+    memory is a 400 at admission, from the shard and through the
+    router, before any array is sized by it."""
+
+    REQ = {**REQUEST, "mode": "sync",
+           "graph": {"n": 2**63, "edges": [[0, 1]]}}
+
+    @pytest.mark.parametrize("via", ["server", "router"])
+    def test_rejected_at_admission(self, request, via):
+        port = request.getfixturevalue(via).port
+        with ServeClient("127.0.0.1", port, timeout_s=30) as c:
+            with pytest.raises(ServeProtocolError, match="graph.n"):
+                c.partition(self.REQ)

@@ -46,8 +46,17 @@ def start_server(cache_dir: Path) -> tuple[subprocess.Popen, int]:
             return proc, int(m.group(1))
         if proc.poll() is not None:
             break
-    proc.kill()
+    stop(proc, signal.SIGKILL)
     pytest.fail("server subprocess never reported a listening port")
+
+
+def stop(proc: subprocess.Popen, sig: int) -> int:
+    """Signal the server, reap it, and close its stderr pipe."""
+    proc.send_signal(sig)
+    try:
+        return proc.wait(timeout=15)
+    finally:
+        proc.stderr.close()
 
 
 def wait_for_cache_entry(cache_dir: Path, timeout_s: float = 30) -> Path:
@@ -74,8 +83,7 @@ def test_kill_mid_job_then_restart_serves_from_cache(tmp_path):
         entry = wait_for_cache_entry(cache)
     finally:
         # SIGKILL: no graceful shutdown, no response ever sent
-        proc.kill()
-        proc.wait(timeout=10)
+        stop(proc, signal.SIGKILL)
 
     mtime_before = entry.stat().st_mtime_ns
     proc2, port2 = start_server(cache)
@@ -85,8 +93,7 @@ def test_kill_mid_job_then_restart_serves_from_cache(tmp_path):
             out = c.partition({**REQ, "mode": "sync"})
             elapsed = time.perf_counter() - t0
     finally:
-        proc2.send_signal(signal.SIGTERM)
-        proc2.wait(timeout=15)
+        stop(proc2, signal.SIGTERM)
 
     assert out["status"] == "done"
     assert out["cached"] is True, "restart must answer from the cache"
@@ -100,5 +107,4 @@ def test_sigterm_is_a_clean_shutdown(tmp_path):
     proc, port = start_server(tmp_path / "cache")
     with ServeClient("127.0.0.1", port, timeout_s=10) as c:
         assert c.health()["status"] == "ok"
-    proc.send_signal(signal.SIGTERM)
-    assert proc.wait(timeout=15) == 0
+    assert stop(proc, signal.SIGTERM) == 0

@@ -10,8 +10,11 @@ import pytest
 from repro.errors import (DeadlineExceededError, ReproError,
                           ServeProtocolError)
 from repro.serve import job_key, parse_job_request, with_deadline
+from repro.serve.http import HttpError
 from repro.serve.pool import BatchMember, run_batch
+from repro.serve.protocol import MAX_PINS
 from repro.serve.runner import solve
+from repro.serve.stream import request_from_header
 
 GEN = {"generator": {"kind": "random", "n": 30, "seed": 3}}
 
@@ -53,6 +56,29 @@ class TestParseJobRequest:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ServeProtocolError):
             parse_job_request(bad)
+
+    @pytest.mark.parametrize("form", ["edges", "csr", "stream"])
+    def test_node_count_is_bounded_by_max_pins(self, form):
+        def graph(n):
+            return {"edges": {"n": n, "edges": [[0, 1]]},
+                    "csr": {"csr": {"n": n, "ptr": [0, 2], "pins": [0, 1]}},
+                    "stream": {"stream": {"digest": "ab" * 32, "n": n,
+                                          "m": 1, "pins": 2}}}[form]
+        with pytest.raises(ServeProtocolError, match=str(MAX_PINS)):
+            parse_job_request(req(graph=graph(MAX_PINS + 1)))
+        r = parse_job_request(req(graph=graph(MAX_PINS)))
+        assert r.est_pins == 2
+
+    @pytest.mark.parametrize("field", ["n", "m"])
+    def test_stream_head_dimensions_are_bounded_by_max_pins(self, field):
+        def head(v):
+            return {"request": {"k": 2, "seed": 1}, "digest": "ab" * 32,
+                    "csr": {"n": 4, "m": 1, "pins": 2, field: v}}
+        with pytest.raises(HttpError) as exc:
+            request_from_header(head(MAX_PINS + 1))
+        assert exc.value.status == 413 and exc.value.close
+        r = request_from_header(head(MAX_PINS))
+        assert r.params["graph"]["stream"][field] == MAX_PINS
 
     def test_serving_controls_do_not_change_cache_key(self):
         a = parse_job_request(req(deadline_s=1.0, mode="sync"))
