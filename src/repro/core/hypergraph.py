@@ -10,11 +10,12 @@ hyperedges ``E``, each a subset of ``V``.  Following the paper we track
 The structure is immutable after construction.  The *primary*
 representation is CSR: ``(edge_ptr, edge_pins)`` arrays built once by the
 vectorised normalisation kernel (:mod:`repro.core.kernels`); the
-tuple-of-tuples ``edges`` view, the node→edge incidence, and the degree
-vector are derived lazily and cached.  Structural operations
-(contraction, parallel-edge merging, subgraphs, unions) run as array
-programs over the CSR arrays and re-enter through :meth:`from_csr`,
-which skips re-normalisation of already-normalised pin rows.
+tuple-of-tuples ``edges`` view, the node→edge incidence, the node→node
+adjacency and the degree vector are derived lazily and cached.
+Structural operations (contraction, parallel-edge merging, subgraphs,
+unions) run as array programs over the CSR arrays and re-enter through
+:meth:`from_csr`, which skips re-normalisation of already-normalised pin
+rows.
 """
 
 from __future__ import annotations
@@ -58,6 +59,8 @@ class Hypergraph:
         "_edges_tup",
         "_node_ptr",
         "_node_edges",
+        "_adj_ptr",
+        "_adj_nodes",
         "_degrees",
         "_retain",
         "__weakref__",
@@ -86,6 +89,8 @@ class Hypergraph:
         self._edges_tup: tuple[tuple[int, ...], ...] | None = None
         self._node_ptr: np.ndarray | None = None
         self._node_edges: np.ndarray | None = None
+        self._adj_ptr: np.ndarray | None = None
+        self._adj_nodes: np.ndarray | None = None
         self._degrees: np.ndarray | None = None
         self._retain: object | None = None
 
@@ -123,6 +128,8 @@ class Hypergraph:
         self._edges_tup = None
         self._node_ptr = None
         self._node_edges = None
+        self._adj_ptr = None
+        self._adj_nodes = None
         self._degrees = None
         self._retain = None
         return self
@@ -208,6 +215,20 @@ class Hypergraph:
                 self._edge_ptr, self._edge_pins, self.n)
         return self._node_ptr, self._node_edges
 
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        """Return ``(adj_ptr, adj_nodes)`` CSR arrays of node neighbours.
+
+        The nodes sharing a hyperedge with ``v``, ``v`` excluded, are
+        ``adj_nodes[adj_ptr[v]:adj_ptr[v+1]]`` in increasing order.  The
+        heap FM walks them after every move; the candidates of the
+        initial portfolio refine the same coarsest graph, so caching
+        them builds the Σ|e|² pair expansion once per graph.
+        """
+        if self._adj_ptr is None:
+            self._adj_ptr, self._adj_nodes = kernels.adjacency_csr(
+                self._edge_ptr, self._edge_pins, self.n)
+        return self._adj_ptr, self._adj_nodes
+
     def incident_edges(self, v: int) -> np.ndarray:
         """Ids of hyperedges containing node ``v``."""
         ptr, ne = self.incidence()
@@ -229,7 +250,8 @@ class Hypergraph:
         self._node_ptr, self._node_edges = node_ptr, node_edges
 
     def drop_caches(self) -> None:
-        """Forget the derived views: incidence, degrees and edge tuples.
+        """Forget the derived views: incidence, adjacency, degrees and
+        edge tuples.
 
         Each is rebuilt from the CSR arrays on its next use, so this
         only trades memory for a later rebuild.  The CSR arrays, the
@@ -240,6 +262,8 @@ class Hypergraph:
         self._edges_tup = None
         self._node_ptr = None
         self._node_edges = None
+        self._adj_ptr = None
+        self._adj_nodes = None
         self._degrees = None
 
     # ------------------------------------------------------------------

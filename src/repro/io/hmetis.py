@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -22,8 +23,8 @@ from ..core.hypergraph import Hypergraph
 from ..core.partition import Partition
 from ..errors import InvalidHypergraphError, InvalidPartitionError
 
-__all__ = ["write_hgr", "read_hgr", "parse_hgr", "write_partition",
-           "read_partition"]
+__all__ = ["write_hgr", "read_hgr", "parse_hgr", "hgr_content_lines",
+           "write_partition", "read_partition"]
 
 
 def _has_nondefault(arr: np.ndarray) -> bool:
@@ -59,6 +60,18 @@ def write_hgr(graph: Hypergraph, path: str | Path) -> None:
     Path(path).write_text(out.getvalue())
 
 
+def hgr_content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """``(physical line no, stripped line)`` of every line of hMETIS
+    *text* that is neither blank nor a ``%`` comment, after a leading
+    UTF-8 BOM; the first one is the header."""
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    for no, raw in enumerate(text.splitlines(), start=1):
+        ln = raw.strip()
+        if ln and not ln.startswith("%"):
+            yield no, ln
+
+
 def parse_hgr(text: str, name: str = "") -> Hypergraph:
     """Parse hMETIS ``.hgr`` *text* (tolerant of real-world files).
 
@@ -71,13 +84,7 @@ def parse_hgr(text: str, name: str = "") -> Hypergraph:
     matters because the serving layer accepts ``.hgr`` uploads from
     untrusted clients.
     """
-    if text.startswith("\ufeff"):
-        text = text[1:]
-    lines: list[tuple[int, str]] = []          # (physical line no, content)
-    for no, raw in enumerate(text.splitlines(), start=1):
-        ln = raw.strip()
-        if ln and not ln.startswith("%"):
-            lines.append((no, ln))
+    lines = list(hgr_content_lines(text))
     if not lines:
         raise InvalidHypergraphError("empty hgr file")
 

@@ -44,6 +44,7 @@ from itertools import count
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .. import instrument
 from ..analyze import sanitize
@@ -155,9 +156,11 @@ class _State:
         """Re-rate ``nodes`` in one batch; return each one's best delta.
 
         The incidence rows of ``nodes`` are gathered once and the move
-        delta of every (node, part) pair is summed by ``bincount`` into
+        delta of every (node, part) pair is summed into
         ``self.deltas[nodes]`` — the same sums ``best_move`` forms row
-        by row.  The returned array holds each node's most-improving
+        by row: by a sparse product over the edges' empty parts for
+        connectivity, by ``bincount`` for cut-net, whose terms depend on
+        the pin.  The returned array holds each node's most-improving
         delta over the parts it may enter under ``caps`` (``inf`` where
         none is feasible).
         """
@@ -168,35 +171,30 @@ class _State:
         row_ptr, inc = kernels.gather_rows(node_ptr, node_edges, nodes)
         owner = np.repeat(np.arange(rows), row_ptr[1:] - row_ptr[:-1])
         own = self.labels[nodes]
-        pc = self.pin_counts[inc]                    # (pins, k)
         ew = g.edge_weights[inc]
         leaves = self.pin_counts[inc, own[owner]] == 1
-        cells = ((owner * k)[:, None] + np.arange(k)).ravel()
         # delta[r, b] = per_part[r, b] - common[r], as in best_move
         if metric == Metric.CONNECTIVITY:
             common = np.bincount(owner, weights=ew * leaves, minlength=rows)
-            per_part = ew[:, None] * (pc == 0)
+            # row r of the product sums its edges in incidence order,
+            # the order bincount would add them in
+            per_part = (csr_array((ew, inc, row_ptr),
+                                  shape=(rows, g.num_edges))
+                        @ (self.pin_counts == 0))
         else:  # CUT_NET
+            pc = self.pin_counts[inc]                # (pins, k)
             nz = self.nonzero[inc]
             common = np.bincount(owner, weights=ew * (nz > 1),
                                  minlength=rows)
-            per_part = ew[:, None] * (((nz - leaves)[:, None] + (pc == 0))
-                                      > 1)
-        deltas = (np.bincount(cells, weights=per_part.ravel(),
-                              minlength=rows * k).reshape(rows, k)
-                  - common[:, None])
+            terms = ew[:, None] * (((nz - leaves)[:, None] + (pc == 0)) > 1)
+            cells = ((owner * k)[:, None] + np.arange(k)).ravel()
+            per_part = np.bincount(cells, weights=terms.ravel(),
+                                   minlength=rows * k).reshape(rows, k)
+        deltas = per_part - common[:, None]
         self.deltas[nodes] = deltas
         feasible = leq(self.part_weight + g.node_weights[nodes][:, None], caps)
         feasible[np.arange(rows), own] = False
         return np.where(feasible, deltas, np.inf).min(axis=1)
-
-
-def _adjacency(graph: Hypergraph) -> list[np.ndarray]:
-    """Per-node neighbour arrays (nodes sharing a hyperedge), computed
-    once per refinement call via the vectorised pair-expansion kernel."""
-    ptr, pins = graph.csr()
-    adj_ptr, adj_nodes = kernels.adjacency_csr(ptr, pins, graph.n)
-    return [adj_nodes[adj_ptr[v]:adj_ptr[v + 1]] for v in range(graph.n)]
 
 
 def _prepare(graph, partition, k, eps, caps, locked, relaxed):
@@ -243,7 +241,9 @@ def fm_refine(
 
     ``caps`` overrides the default ε-balance weight capacities — the
     recursive partitioner uses this for uneven target sizes.  ``locked``
-    nodes never move (fixed-colour gadget nodes).
+    nodes never move (fixed-colour gadget nodes).  A call whose start
+    breaks ``caps`` bumps the ``fm_infeasible_starts`` counter of
+    :mod:`repro.instrument`.
 
     Gains live in per-node delta rows.  A pass starts with one batched
     ``_State.rate`` over all unlocked nodes; after that it runs on plain
@@ -251,19 +251,23 @@ def fm_refine(
     changes the rows of an edge's other pins only where the edge's old
     count ``ca`` in ``a`` is 1 or 2 or its old count ``cb`` in ``b`` is 0
     or 1 (the rules are in the module docstring); a whole-row change is
-    kept as a per-node shift.  Every unlocked neighbour of ``v`` is then
-    pushed with the best feasible delta read from its row, and a popped
-    node is re-checked the same way, against the current part weights.
-    Once the entries of moved nodes outnumber the others, the heap is
-    rebuilt without them; a pop would only have skipped them, so every
-    other pop is unchanged.  With integer-valued weights every row stays
-    an exact integer sum, so the labels equal those of
-    :func:`_reference_fm_refine` on both metrics; with float weights
-    near-ties may break differently.
+    kept as a per-node shift.  Rows, shifts and part weights change only
+    when a node moves, so a node's target (the first cheapest part its
+    weight fits into, with that delta) is scanned at most once per move
+    and kept with the move count: every unlocked neighbour of ``v`` is
+    scanned and pushed right after the move, and a popped node is
+    re-checked against its kept target, scanned anew only if a move
+    came after it.  Once the entries of moved nodes outnumber the
+    others, the heap is rebuilt without them; a pop would only have
+    skipped them, so every other pop is unchanged.  With integer-valued
+    weights every row stays an exact integer sum, so the labels equal
+    those of :func:`_reference_fm_refine` on both metrics; with float
+    weights near-ties may break differently.
     """
     labels, k, caps, locked_base = _prepare(graph, partition, k, eps, caps,
                                             locked, relaxed)
     state = _State(graph, labels, k)
+    n = graph.n
     # Classic FM slack: during a pass a part may exceed its cap by one
     # node, otherwise no single move is ever feasible at ε = 0.  Only
     # prefixes that end in a feasible (cap-respecting) state are kept.
@@ -279,20 +283,27 @@ def fm_refine(
     ptr, pins = graph.csr()
     edge_pins = _rows(ptr, pins)
     node_edges = _rows(*graph.incidence())
-    neighbours = _rows(*kernels.adjacency_csr(ptr, pins, graph.n))
+    neighbours = _rows(*graph.adjacency())
     ew = graph.edge_weights.tolist()
     nw = graph.node_weights.tolist()
     pc = state.pin_counts.tolist()
-    lam = state.nonzero.tolist()
     lab = state.labels.tolist()
     pw = state.part_weight.tolist()
     caps_list = caps.tolist()
     # leq(pw[t] + w, pass_caps[t]) with the right-hand side precomputed
     lim = (pass_caps + ATOL).tolist()
     w_min = min(nw, default=0.0)
+    inf = math.inf
     # rows[u][t] - shift[u] is the delta of moving u to t (inf at u's part)
     rows: list[list[float]] = []
     shift: list[float] = []
+    lam: list[int] = []             # λ of every edge; cut-net only
+    # u's target, scanned after move number ``scanned[u]`` of the pass
+    # and valid until the next move: part ``tb[u]`` (-1 if u fits into
+    # none) at delta ``td[u]``
+    scanned: list[int] = []
+    tb = [-1] * n
+    td = [0.0] * n
     parts_open: list[int] = []
 
     def feasible() -> bool:
@@ -302,17 +313,6 @@ def fm_refine(
         # Float addition is monotone, so a part the lightest node does
         # not fit into fits no node: only these parts need a check.
         return [t for t in range(k) if pw[t] + w_min <= lim[t]]
-
-    def target(u: int) -> tuple[float, int] | None:
-        """``best_move`` of ``u`` from its row: the first cheapest part
-        its weight fits into.  The row holds ``inf`` at ``u``'s own part."""
-        r = rows[u]
-        w = nw[u]
-        d = math.inf
-        for t in parts_open:
-            if r[t] < d and pw[t] + w <= lim[t]:
-                d, b = r[t], t
-        return (d - shift[u], b) if d < math.inf else None
 
     def move(v: int, b: int) -> None:
         """Move ``v`` to ``b`` and update the rows its edges' thresholds
@@ -327,9 +327,9 @@ def fm_refine(
             if ca > 2 and cb > 1:
                 continue
             we = ew[e]
-            lam0 = lam[e]
-            lam1 = lam[e] = lam0 - (ca == 1) + (cb == 0)
             if cut_net:
+                lam0 = lam[e]
+                lam1 = lam[e] = lam0 - (ca == 1) + (cb == 0)
                 # Contribution of e to column t of pin u's row:
                 # we * ([s + (pc[e, t] == 0) > 1] - [lam > 1]), where s is
                 # lam less u's leave flag (pc[e, own] == 1).
@@ -400,66 +400,102 @@ def fm_refine(
             pe = pc[e]
             pe[b] -= 1
             pe[a] += 1
-            lam[e] += (pe[a] == 1) - (pe[b] == 0)
         w = nw[v]
         pw[b] -= w
         pw[a] += w
         lab[v] = a
 
     start_feasible = feasible()
+    if not start_feasible:
+        instrument.bump("fm_infeasible_starts")
+    heappop, heappush = heapq.heappop, heapq.heappush
     tick = count()
     for _pass in range(max_passes):
         instrument.bump("fm_passes")
         locked_now = locked_base.tolist()
         best = state.rate(free, pass_caps, metric)
         rows = state.deltas.tolist()
-        shift = [0.0] * graph.n
+        shift = [0.0] * n
+        if cut_net:
+            lam = state.nonzero.tolist()
         for v in free_nodes:
-            rows[v][lab[v]] = math.inf
+            rows[v][lab[v]] = inf
         heap = [(d, next(tick), v)
-                for d, v in zip(best.tolist(), free_nodes) if d < math.inf]
+                for d, v in zip(best.tolist(), free_nodes) if d < inf]
         heapq.heapify(heap)
         # entries[v]: v's entries in the heap while v is unmoved; dead:
         # the entries of moved nodes, which a pop would only skip.
-        entries = [0] * graph.n
+        entries = [0] * n
         for _, _, v in heap:
             entries[v] = 1
         dead = 0
+        scanned = [-1] * n
         parts_open = open_parts()
         moves: list[tuple[int, int]] = []  # (node, previous part)
+        moved = 0
         cum = 0.0
         best_cum = 0.0
         best_len = 0
         while heap:
-            d, _, v = heapq.heappop(heap)
+            d, _, v = heappop(heap)
             if locked_now[v]:
                 dead -= 1
                 continue
             entries[v] -= 1
-            mv = target(v)
-            if mv is None:
+            # the reference's re-check, scanning v's row only if a move
+            # came after its last scan
+            if scanned[v] != moved:
+                scanned[v] = moved
+                r = rows[v]
+                w = nw[v]
+                dv = inf
+                for t in parts_open:
+                    if r[t] < dv and pw[t] + w <= lim[t]:
+                        dv, b = r[t], t
+                if dv < inf:
+                    tb[v] = b
+                    td[v] = dv - shift[v]
+                else:
+                    tb[v] = -1
+            b = tb[v]
+            if b < 0:
                 continue
-            if gt(mv[0], d, atol=GAIN_ATOL):
-                heapq.heappush(heap, (mv[0], next(tick), v))
+            dv = td[v]
+            if gt(dv, d, atol=GAIN_ATOL):
+                heappush(heap, (dv, next(tick), v))
                 entries[v] += 1
                 continue
-            d, b = mv
             moves.append((v, lab[v]))
             move(v, b)
+            moved += 1
             parts_open = open_parts()
             locked_now[v] = True
             dead += entries[v]
-            cum += d
+            cum += dv
             if (lt(cum, best_cum, atol=GAIN_ATOL)
                     and (not start_feasible or feasible())):
                 best_cum = cum
-                best_len = len(moves)
+                best_len = moved
+            # the same scan for every unlocked neighbour, kept with this
+            # move's count (inline: it runs once per neighbour per move)
             for u in neighbours[v]:
-                if not locked_now[u]:
-                    mv = target(u)
-                    if mv is not None:
-                        heapq.heappush(heap, (mv[0], next(tick), u))
-                        entries[u] += 1
+                if locked_now[u]:
+                    continue
+                scanned[u] = moved
+                r = rows[u]
+                w = nw[u]
+                du = inf
+                for t in parts_open:
+                    if r[t] < du and pw[t] + w <= lim[t]:
+                        du, bu = r[t], t
+                if du < inf:
+                    du -= shift[u]
+                    tb[u] = bu
+                    td[u] = du
+                    heappush(heap, (du, next(tick), u))
+                    entries[u] += 1
+                else:
+                    tb[u] = -1
             if 2 * dead > len(heap):
                 # Ticks are unique, so the heap order is total and
                 # dropping dead entries changes no other pop.  Superseded
@@ -475,7 +511,8 @@ def fm_refine(
                           for e in node_edges[v]})
         if touched:
             state.pin_counts[touched] = [pc[e] for e in touched]
-            state.nonzero[touched] = [lam[e] for e in touched]
+            state.nonzero[touched] = (state.pin_counts[touched] > 0).sum(
+                axis=1)
         state.labels[:] = lab
         state.part_weight[:] = pw
         if geq(best_cum, 0.0, atol=GAIN_ATOL):
@@ -505,7 +542,7 @@ def _reference_fm_refine(
     labels, k, caps, locked_base = _prepare(graph, partition, k, eps, caps,
                                             locked, relaxed)
     state = _State(graph, labels, k)
-    adjacency = _adjacency(graph)
+    adjacency = _rows(*graph.adjacency())
     slack = float(graph.node_weights.max(initial=0.0))
     pass_caps = caps + slack
 

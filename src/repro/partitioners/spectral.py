@@ -10,15 +10,18 @@ hyperedge communication, which the quality benchmarks make visible.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ..core.cost import Metric
 from ..core.hypergraph import Hypergraph
 from ..core.partition import Partition
 from .base import weight_caps
 from .fm import fm_refine
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["clique_expansion_laplacian", "spectral_order",
            "spectral_bisection", "spectral_partition"]
@@ -31,6 +34,8 @@ def clique_expansion_laplacian(graph: Hypergraph) -> sp.csr_matrix:
     pin pair (the standard normalisation making a cut 2-pin edge cost
     exactly ``w_e``).
     """
+    import scipy.sparse as sp
+
     n = graph.n
     rows: list[int] = []
     cols: list[int] = []
@@ -58,6 +63,10 @@ def spectral_order(graph: Hypergraph,
     Falls back to index order for graphs too small for a meaningful
     second eigenvector.
     """
+    # imported here: scipy.sparse.linalg (and scipy.linalg under it)
+    # would otherwise load with every ``import repro.partitioners``
+    import scipy.sparse.linalg as spla
+
     n = graph.n
     if n < 4:
         return np.arange(n, dtype=np.int64)

@@ -34,12 +34,14 @@ import traceback
 import numpy as np
 from scipy.sparse import csr_array
 
+from .. import instrument
 from ..analyze import sanitize
 from ..core import kernels
 from ..core.cost import Metric
 from ..core.hypergraph import Hypergraph
 from ..core.partition import Partition
 from ..core.shm import SharedArrays, SharedCSR
+from ..core.tolerance import leq
 from ..core.workers import Workers, peak_rss_bytes
 from ..errors import WorkerPoolError
 
@@ -753,7 +755,9 @@ def subround_fm_refine(
     the per-part prefix that fits the weight caps (conservative: freed
     source weight is ignored), applies the batch, and — because
     simultaneous moves can interact — rolls back to the best-gain half
-    repeatedly if the exact recomputed cost regressed.
+    repeatedly if the exact recomputed cost regressed.  A call whose
+    start breaks ``caps`` bumps the ``fm_infeasible_starts`` counter of
+    :mod:`repro.instrument`.
 
     Two pieces of state make a sub-round cost what changed since the
     last one rather than a pass over the level.  ``ncut[v]``, the number
@@ -791,6 +795,8 @@ def subround_fm_refine(
     edge_nz = level.state["edge_nz"]
     part_w = np.zeros(k, dtype=np.float64)
     np.add.at(part_w, labels, nw)
+    if not np.all(leq(part_w, caps)):
+        instrument.bump("fm_infeasible_starts")
     ncut = np.bincount(pins[np.repeat(edge_nz >= 2, np.diff(ptr))],
                        minlength=n)
     stale = np.ones(n, dtype=bool)

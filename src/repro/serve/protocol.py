@@ -46,6 +46,7 @@ from typing import Any, Mapping
 
 from ..errors import ServeProtocolError
 from ..generators.factory import WORKLOAD_KINDS
+from ..io.hmetis import hgr_content_lines
 
 __all__ = [
     "ALGORITHMS",
@@ -126,10 +127,14 @@ def _parse_graph(graph: Any) -> tuple[dict, int]:
         text = graph["hgr"]
         _require(isinstance(text, str) and text.strip() != "",
                  "'graph.hgr' must be non-empty hMETIS text")
-        # token count upper-bounds pins; full validation happens in the
-        # worker via parse_hgr so a parse error is contained there too
-        est = len(text.split())
-        return {"hgr": text}, est
+        # the header's counts size the worker's arrays, so they are
+        # bounded here; full validation happens in the worker via
+        # parse_hgr so a parse error is contained there too
+        m, n = _hgr_counts(text)
+        _require(m <= MAX_PINS and n <= MAX_PINS,
+                 f"'graph.hgr' header counts must be at most {MAX_PINS}")
+        # token count upper-bounds pins
+        return {"hgr": text}, len(text.split()) + n
     if kind == "edges":
         n = _as_int(graph.get("n"), "'graph.n'")
         _require(0 <= n <= MAX_PINS, f"'graph.n' must be in 0..{MAX_PINS}")
@@ -186,6 +191,20 @@ def _parse_graph(graph: Any) -> tuple[dict, int]:
     # generators emit O(n)–O(n log n) pins; coarse admission estimate
     est = int(spec["n"]) * 4
     return {"generator": spec}, est
+
+
+def _hgr_counts(text: str) -> tuple[int, int]:
+    """``(m, n)`` of the header line of hMETIS text, found as
+    ``parse_hgr`` finds it.  A count that is missing, negative or not an
+    integer reads 0: ``parse_hgr`` rejects it in the worker."""
+    header = next(hgr_content_lines(text), (0, ""))[1].split()
+    counts = [0, 0]
+    for i, tok in enumerate(header[:2]):
+        try:
+            counts[i] = max(int(tok), 0)
+        except ValueError:
+            continue
+    return counts[0], counts[1]
 
 
 def _parse_stream_ref(ref: Any) -> tuple[dict, int]:

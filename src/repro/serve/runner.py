@@ -26,8 +26,12 @@ def warm_solver_modules() -> None:
     :func:`solve` imports partitioners/scheduling lazily; without this,
     every forked batch worker pays those imports (~300 ms) itself —
     which is exactly the per-dispatch overhead micro-batching exists to
-    amortise.  Called once at server start.
+    amortise.  Called once at server start.  ``scipy.sparse.linalg``
+    is named too: the spectral partitioner imports it on first use, so
+    ``import repro.partitioners`` alone leaves it out.
     """
+    import scipy.sparse.linalg  # noqa: F401
+
     from .. import generators, io, partitioners, scheduling, sim  # noqa: F401
 
 #: Spec under which serve jobs are cached.  ``version`` bumps invalidate

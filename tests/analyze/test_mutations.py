@@ -210,8 +210,8 @@ ROWS = [
         rules={"dtype-bounds"}),
     # dtype-bounds proves annotated functions only
     row("int32-codes-in-unannotated-adjacency", KERNELS,
-        ("    codes = np.unique(owners[mask] * np.int64(n) + cand[mask])\n",
-         "    codes = np.unique(owners[mask] * np.int64(n)"
+        ("    codes = np.sort(owners[mask] * np.int64(n) + cand[mask])\n",
+         "    codes = np.sort(owners[mask] * np.int64(n)"
          " + cand[mask]).astype(np.int32)\n"),
         test=None),
     row("raw-equality-on-a-gain", "src/repro/partitioners/fm.py",
@@ -220,6 +220,14 @@ ROWS = [
          "            if remove_gain == 0.0 and not feasible.any():\n"
          "                return None\n"),
         rules={"float-cost-eq"}),
+    # the heap FM keeps each node's target for the move count it was
+    # scanned at; a pop that reuses one from before the last move reads
+    # stale rows and part weights, which no rule can see
+    row("heap-fm-pop-reuses-a-stale-target", "src/repro/partitioners/fm.py",
+        ("            if scanned[v] != moved:\n",
+         "            if scanned[v] < 0:\n"),
+        test="tests/partitioners/test_heuristics.py::TestMultilevel::"
+             "test_vcycle_matches_reference_fm"),
 
     # -- structure -----------------------------------------------------
     row("swallowed-parse-error", "src/repro/io/hmetis.py",

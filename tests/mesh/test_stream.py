@@ -384,3 +384,11 @@ class TestOversizedNodeCount:
         with ServeClient("127.0.0.1", port, timeout_s=30) as c:
             with pytest.raises(ServeProtocolError, match="graph.n"):
                 c.partition(self.REQ)
+
+    @pytest.mark.parametrize("via", ["server", "router"])
+    def test_hgr_header_rejected_at_admission(self, request, via):
+        port = request.getfixturevalue(via).port
+        req = {**self.REQ, "graph": {"hgr": "1 10000000000\n1 2\n"}}
+        with ServeClient("127.0.0.1", port, timeout_s=30) as c:
+            with pytest.raises(ServeProtocolError, match="graph.hgr"):
+                c.partition(req)

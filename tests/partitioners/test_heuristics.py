@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import instrument
 from repro.core import (
     Hypergraph,
     Metric,
@@ -22,8 +23,10 @@ from repro.core.tolerance import GAIN_ATOL, leq
 from repro.errors import InfeasibleError
 from repro.generators import (
     block,
+    laplacian_2d_pattern,
     planted_partition_hypergraph,
     random_hypergraph,
+    spmv_fine_grain,
 )
 from repro.partitioners import (
     bfs_growth_partition,
@@ -37,7 +40,8 @@ from repro.partitioners import (
 from repro.partitioners import multilevel
 from repro.partitioners.fm import _reference_fm_refine, _State
 from repro.partitioners.greedy import _reference_greedy_sequential_partition
-from repro.partitioners.subround import subround_coarsen_step
+from repro.partitioners.subround import (subround_coarsen_step,
+                                         subround_fm_refine)
 
 from ..conftest import hypergraphs
 
@@ -195,6 +199,23 @@ class TestFM:
                                        caps=caps, locked=locked)
             assert np.array_equal(got.labels, ref.labels)
 
+    @pytest.mark.parametrize("refine", [fm_refine, subround_fm_refine])
+    def test_counts_infeasible_starts(self, refine):
+        """A call whose start breaks ``caps`` bumps the
+        ``fm_infeasible_starts`` counter once; a feasible start leaves
+        it alone."""
+        g = random_hypergraph(20, 30, rng=4)
+        caps = np.full(2, 11.0)
+
+        def infeasible_starts():
+            return instrument.snapshot().get("fm_infeasible_starts", 0)
+
+        before = infeasible_starts()
+        refine(g, np.zeros(g.n, dtype=np.int64), k=2, caps=caps)
+        assert infeasible_starts() == before + 1
+        refine(g, np.arange(g.n) % 2, k=2, caps=caps)
+        assert infeasible_starts() == before + 1
+
     @pytest.mark.parametrize("metric", [Metric.CONNECTIVITY, Metric.CUT_NET])
     @pytest.mark.parametrize("with_locked", [False, True])
     def test_matches_reference_dense_k16(self, metric, with_locked):
@@ -263,6 +284,20 @@ class TestMultilevel:
         g = random_hypergraph(10, 8, rng=rng)
         p = multilevel_partition(g, 2, eps=0.5, rng=0)
         assert is_balanced(p, 0.5, relaxed=True)
+
+    @pytest.mark.parametrize("metric", [Metric.CONNECTIVITY, Metric.CUT_NET])
+    def test_vcycle_matches_reference_fm(self, monkeypatch, metric):
+        """A serial k=16 V-cycle on an SpMV fine-grain instance returns
+        the labels it returns when every heap-FM call runs the per-node
+        reference loop: the portfolio's candidates share the coarsest
+        graph's cached views, and each ascent level rebuilds the views
+        its waiting graph dropped."""
+        g = spmv_fine_grain(laplacian_2d_pattern(10))
+        kw = dict(eps=0.03, metric=metric, rng=5, repetitions=1, n_jobs=1)
+        got = multilevel_partition(g, 16, **kw)
+        monkeypatch.setattr(multilevel, "fm_refine", _reference_fm_refine)
+        ref = multilevel_partition(g, 16, **kw)
+        assert np.array_equal(got.labels, ref.labels)
 
     def test_level_lifecycle(self, monkeypatch):
         """While the ascent refines a level, every coarser level is

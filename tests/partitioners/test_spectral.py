@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -76,3 +81,22 @@ class TestSpectral:
         g = random_hypergraph(20, 15, rng=3)
         p = spectral_partition(g, 2, eps=0.5, rng=0, refine=False)
         assert p.k == 2
+
+
+def test_partitioner_import_leaves_sparse_linalg_to_first_use():
+    """``import repro.partitioners`` loads neither ``scipy.sparse.linalg``
+    (the spectral partitioner imports it on first use) nor networkx,
+    and the serve warm-up loads it before batch workers fork."""
+    code = (
+        "import sys\n"
+        "import repro.partitioners\n"
+        "heavy = ('scipy.sparse.linalg', 'scipy.linalg', 'networkx')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+        "from repro.serve.runner import warm_solver_modules\n"
+        "warm_solver_modules()\n"
+        "print('scipy.sparse.linalg' in sys.modules)\n")
+    src = Path(__file__).resolve().parents[2] / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.split("\n")[:2] == ["[]", "True"]

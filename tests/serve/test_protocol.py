@@ -69,6 +69,20 @@ class TestParseJobRequest:
         r = parse_job_request(req(graph=graph(MAX_PINS)))
         assert r.est_pins == 2
 
+    @pytest.mark.parametrize("field", ["m", "n"])
+    def test_hgr_header_counts_are_bounded_by_max_pins(self, field):
+        """The header is found as parse_hgr finds it (BOM, comments,
+        blank lines); its counts answer 400 before any worker sizes an
+        array by them, and ``n`` counts in the admission estimate."""
+        def hgr(v):
+            m, n = (v, 3) if field == "m" else (1, v)
+            return {"hgr": f"\ufeff% exported\n\n {m} {n}\n1 2\n"}
+        for v in (MAX_PINS + 1, 10**10):
+            with pytest.raises(ServeProtocolError, match=str(MAX_PINS)):
+                parse_job_request(req(graph=hgr(v)))
+        r = parse_job_request(req(graph=hgr(1000)))
+        assert r.est_pins == 6 + (1000 if field == "n" else 3)
+
     @pytest.mark.parametrize("field", ["n", "m"])
     def test_stream_head_dimensions_are_bounded_by_max_pins(self, field):
         def head(v):
