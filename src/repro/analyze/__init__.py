@@ -14,8 +14,13 @@ machine-checked instead of tribal:
     interprocedural passes;
   - :mod:`repro.analyze.rules` — file-local rules (seed discipline,
     silent excepts, float tolerance, serve timeouts);
-  - :mod:`repro.analyze.passes` — structural repo rules plus the
-    determinism / fork-safety / rng-provenance dataflow passes;
+  - :mod:`repro.analyze.cfg` / :mod:`repro.analyze.absint` —
+    per-function CFGs and the abstract interpreter the path-sensitive
+    passes solve over;
+  - :mod:`repro.analyze.passes` — structural repo rules, the
+    path-sensitive passes (one obligation pass for resource-safety and
+    task-lifecycle, dtype-bounds) and the determinism / fork-safety /
+    rng-provenance / async-blocking dataflow passes;
   - :mod:`repro.analyze.cache` — the ``--incremental`` summary cache;
   - :mod:`repro.analyze.cli` — the ``repro analyze`` verb (text or
     JSON output, ``--fail-on`` exit status).

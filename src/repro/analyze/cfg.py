@@ -47,14 +47,24 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-__all__ = ["CFG", "Edge", "Node", "build_cfg"]
+__all__ = ["CFG", "Edge", "NO_DESCEND", "Node", "build_cfg", "walk_scope"]
 
-#: Statement types whose sub-statements become their own CFG nodes;
-#: the can-raise scan must not descend into them.
-_COMPOUND = (ast.If, ast.While, ast.For, ast.AsyncFor, ast.Try,
-             ast.With, ast.AsyncWith)
-_NO_DESCEND = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
-               ast.ClassDef)
+#: Nested scopes: their bodies run at call time, not in this CFG.
+NO_DESCEND = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+              ast.ClassDef)
+
+
+def walk_scope(roots):
+    """Walk AST trees without entering nested def/class/lambda bodies
+    (their decorators do run here)."""
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, NO_DESCEND):
+            stack.extend(getattr(node, "decorator_list", []))
+            continue
+        stack.extend(ast.iter_child_nodes(node))
 
 
 @dataclass
@@ -125,7 +135,7 @@ def _can_raise(stmt: ast.stmt) -> bool:
         roots = [i.context_expr for i in stmt.items]
     elif isinstance(stmt, ast.Try):
         return False            # the body statements carry their own
-    elif isinstance(stmt, _NO_DESCEND):
+    elif isinstance(stmt, NO_DESCEND):
         roots = list(getattr(stmt, "decorator_list", []))
         args = getattr(stmt, "args", None)
         if args is not None:
@@ -138,7 +148,7 @@ def _can_raise(stmt: ast.stmt) -> bool:
         node = stack.pop()
         if isinstance(node, (ast.Call, ast.Await)):
             return True
-        if isinstance(node, _NO_DESCEND):
+        if isinstance(node, NO_DESCEND):
             continue
         stack.extend(ast.iter_child_nodes(node))
     return False
@@ -181,9 +191,6 @@ class CFG:
 
     def exc_edges(self) -> list[Edge]:
         return [e for e in self.edges() if e.kind == "exc"]
-
-    def stmt_nodes(self) -> list[Node]:
-        return [n for n in self.nodes.values() if n.stmt is not None]
 
     def nodes_at_line(self, line: int) -> list[Node]:
         return [n for n in self.nodes.values() if n.line == line]

@@ -44,13 +44,14 @@ __all__ = [
     "ENGINE_VERSION",
     "ModuleIndex",
     "ModuleSummary",
+    "dotted",
     "extract_summary",
     "load_source",
     "module_name_for",
 ]
 
 #: Bump to invalidate every cached summary (rule/pass/format changes).
-ENGINE_VERSION = "analyze-v5.1"
+ENGINE_VERSION = "analyze-v5.2"
 
 #: Constructors whose result is an explicit, caller-owned Generator.
 RNG_CONSTRUCTORS = {"numpy.random.default_rng", "numpy.random.Generator"}
@@ -212,7 +213,7 @@ def load_source(path: Path, raw: bytes | None = None) -> SourceFile | None:
                       pragmas=PragmaTable(text))
 
 
-def _dotted(node: ast.AST) -> str:
+def dotted(node: ast.AST) -> str:
     """Best-effort dotted name of an expression (``np.random.shuffle``)."""
     parts: list[str] = []
     while isinstance(node, ast.Attribute):
@@ -359,7 +360,7 @@ class Extractor:
                         self._top_names.add(n.id)
             value = stmt.value
             if isinstance(value, ast.Call):
-                resolved = self.resolve(_dotted(value.func))
+                resolved = self.resolve(dotted(value.func))
                 if resolved in RNG_CONSTRUCTORS:
                     for t in targets:
                         if isinstance(t, ast.Name):
@@ -368,7 +369,7 @@ class Extractor:
     def _note_lock(self, stmt: ast.Assign, cls: str | None) -> None:
         if not isinstance(stmt.value, ast.Call):
             return
-        ctor = self.resolve(_dotted(stmt.value.func))
+        ctor = self.resolve(dotted(stmt.value.func))
         if ctor not in SYNC_LOCKS:
             return
         for t in stmt.targets:
@@ -429,7 +430,7 @@ class Extractor:
                 name = f"{cls}.{node.name}" if cls else node.name
                 self.summary.classes[name] = {
                     "line": node.lineno,
-                    "bases": [_dotted(b) for b in node.bases if _dotted(b)],
+                    "bases": [dotted(b) for b in node.bases if dotted(b)],
                 }
                 for child in ast.iter_child_nodes(node):
                     self._visit(child, ctx, cls=name)
@@ -475,7 +476,7 @@ class Extractor:
                 ctor = self._lock_ctor(item.context_expr, ctx)
                 if ctor is not None:
                     self._record_call(node.lineno, f"{ctor}.acquire",
-                                      _dotted(item.context_expr), ctx)
+                                      dotted(item.context_expr), ctx)
                 if isinstance(item.optional_vars, ast.Name):
                     self._track_local_value(item.optional_vars.id,
                                             item.context_expr, ctx)
@@ -492,7 +493,7 @@ class Extractor:
             func = value.func
             callee = (func.attr if isinstance(func, ast.Attribute)
                       else func.id if isinstance(func, ast.Name) else "")
-            self.awaits.append((node.lineno, callee, _dotted(value.func),
+            self.awaits.append((node.lineno, callee, dotted(value.func),
                                 True))
         else:
             self.awaits.append((node.lineno, "", "", False))
@@ -567,7 +568,7 @@ class Extractor:
                 return ctx.rng_locals[value.id]
             return "param" if value.id in ctx.rng_params else None
         if not (isinstance(value, ast.Call) and self.resolve(
-                _dotted(value.func)) in RNG_CONSTRUCTORS):
+                dotted(value.func)) in RNG_CONSTRUCTORS):
             return None
         for arg in ast.walk(value):
             if isinstance(arg, ast.Name) and arg.id in ctx.params:
@@ -579,7 +580,7 @@ class Extractor:
         if born is not None:
             ctx.rng_locals[name] = born
         elif isinstance(value, ast.Call):
-            resolved = self.resolve(_dotted(value.func))
+            resolved = self.resolve(dotted(value.func))
             if (resolved is not None
                     and resolved.rpartition(".")[2][:1].isupper()):
                 # Only constructor-shaped calls type a local ("g =
@@ -604,7 +605,7 @@ class Extractor:
 
     def _resolve_call_target(self, func: ast.AST,
                              ctx: _FnCtx) -> tuple[str | None, str]:
-        written = _dotted(func)
+        written = dotted(func)
         if not written:
             if isinstance(func, ast.Attribute):      # X(...).method etc.
                 return None, func.attr
@@ -631,7 +632,7 @@ class Extractor:
     def _resolve_function_arg(self, expr: ast.AST,
                               ctx: _FnCtx) -> str | None:
         tgt, _w = self._resolve_call_target(expr, ctx)
-        return tgt if tgt is not None else self.resolve(_dotted(expr))
+        return tgt if tgt is not None else self.resolve(dotted(expr))
 
     def _collect_call(self, node: ast.Call, ctx: _FnCtx) -> None:
         resolved, written = self._resolve_call_target(node.func, ctx)
@@ -738,13 +739,14 @@ class Extractor:
 def extract_summary(sf: SourceFile) -> ModuleSummary:
     """One-walk extraction: facts + file-local rule findings.
 
-    The per-function CFG passes (resource-safety, dtype-bounds,
-    task-lifecycle) run here too: their verdicts depend on
-    this module's bytes alone, so embedding them in the summary lets
-    the incremental cache replay them without rebuilding a single CFG.
+    The per-function CFG passes (resource-safety and task-lifecycle in
+    one obligation pass, dtype-bounds) run here too: their verdicts
+    depend on this module's bytes alone, so embedding them in the
+    summary lets the incremental cache replay them without rebuilding
+    a single CFG.
     """
     from . import rules
-    from .passes import dtype_bounds, resource_safety, task_lifecycle
+    from .passes import dtype_bounds, obligations
 
     ex = Extractor(sf)
     summary = ex.run()
@@ -752,9 +754,7 @@ def extract_summary(sf: SourceFile) -> ModuleSummary:
         [f.line, f.rule, f.message] for f in rules.run_local_rules(sf, ex)]
     summary.path_findings = [
         [f.line, f.rule, f.message, [[ln, note] for (_p, ln, note) in f.flow]]
-        for f in (*resource_safety.analyze(sf, ex),
-                  *dtype_bounds.analyze(sf, ex),
-                  *task_lifecycle.analyze(sf, ex))]
+        for f in (*obligations.analyze(sf), *dtype_bounds.analyze(sf))]
     return summary
 
 

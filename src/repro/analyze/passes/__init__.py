@@ -2,9 +2,9 @@
 
 :func:`run_all` is the single entry point the engine calls: it replays
 the file-local and CFG/path-sensitive findings embedded in each
-summary (the latter computed at extract time by
-:mod:`.resource_safety`, :mod:`.dtype_bounds` and :mod:`.task_lifecycle`
-over per-function CFGs), runs the structural
+summary (the latter computed at extract time over per-function CFGs
+by :mod:`.obligations` — resource-safety and task-lifecycle — and
+:mod:`.dtype_bounds`), runs the structural
 repo rules (:mod:`.structural`), builds one
 :class:`~repro.analyze.callgraph.CallGraph`, and hands it to the four
 interprocedural dataflow passes (:mod:`.determinism`,

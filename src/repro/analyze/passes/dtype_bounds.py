@@ -43,8 +43,9 @@ import tokenize
 from dataclasses import dataclass, field
 
 from ..absint import solve
-from ..cfg import CFG, build_cfg
+from ..cfg import CFG, NO_DESCEND, build_cfg, walk_scope
 from ..engine import Finding, SourceFile
+from ..index import dotted
 
 __all__ = ["RULE", "INT32_MAX", "analyze"]
 
@@ -58,23 +59,9 @@ _TERM_RE = re.compile(
 
 _INF = math.inf
 
-_NO_DESCEND = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
-               ast.ClassDef)
-
 
 def _fmt(bound: float) -> str:
     return "unbounded" if bound == _INF else f"{bound:.10g}"
-
-
-def _dotted(node: ast.AST) -> str:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return ""
 
 
 @dataclass
@@ -137,18 +124,6 @@ def _parse_annotations(sf: SourceFile) -> tuple[list, list]:
     return anns, bad
 
 
-def _walk_headers(roots):
-    """Walk expression trees without entering nested def/class bodies."""
-    stack = list(roots)
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, _NO_DESCEND):
-            stack.extend(getattr(node, "decorator_list", []))
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
 def _roots(node) -> list[ast.AST]:
     """AST material executed *at* this CFG node (headers only)."""
     stmt = node.stmt
@@ -160,7 +135,7 @@ def _roots(node) -> list[ast.AST]:
         return [item.context_expr for item in stmt.items]
     if node.kind in ("dispatch", "handler", "with-cleanup"):
         return []
-    if isinstance(stmt, _NO_DESCEND):
+    if isinstance(stmt, NO_DESCEND):
         return list(getattr(stmt, "decorator_list", []))
     return [stmt]
 
@@ -168,19 +143,19 @@ def _roots(node) -> list[ast.AST]:
 def _is_int32(expr: ast.AST) -> bool:
     if isinstance(expr, ast.Constant):
         return expr.value == "int32"
-    return _dotted(expr).split(".")[-1:] == ["int32"]
+    return dotted(expr).split(".")[-1:] == ["int32"]
 
 
 def _int32_arrays(fn) -> set[str]:
     """Names allocated as int32 arrays inside ``fn`` (syntactic)."""
     names: set[str] = set()
-    for node in _walk_headers(fn.body):
+    for node in walk_scope(fn.body):
         if not (isinstance(node, ast.Assign) and len(node.targets) == 1
                 and isinstance(node.targets[0], ast.Name)
                 and isinstance(node.value, ast.Call)):
             continue
         call = node.value
-        tail = _dotted(call.func).split(".")[-1]
+        tail = dotted(call.func).split(".")[-1]
         if tail in ("zeros", "empty", "full", "ones"):
             if any(kw.arg == "dtype" and _is_int32(kw.value)
                    for kw in call.keywords):
@@ -288,11 +263,11 @@ def _eval_subscript(expr: ast.Subscript, state, ann) -> tuple:
 
 def _eval_call(call: ast.Call, state, ann) -> tuple:
     top = (_INF, _INF)
-    dotted = _dotted(call.func)
-    # ``_dotted`` can't name a chain rooted at a call expression
+    name = dotted(call.func)
+    # ``dotted`` can't name a chain rooted at a call expression
     # (np.bincount(...).reshape); the method name is still the attr.
     tail = (call.func.attr if isinstance(call.func, ast.Attribute)
-            else dotted.split(".")[-1])
+            else name.split(".")[-1])
     recv = None
     if isinstance(call.func, ast.Attribute):
         head = call.func.value
@@ -307,7 +282,7 @@ def _eval_call(call: ast.Call, state, ann) -> tuple:
     args = [_eval(a, state, ann) for a in call.args]
     first = args[0] if args else (recv or top)
 
-    if tail == "len" and dotted == "len" and args:
+    if tail == "len" and name == "len" and args:
         return (first[1], 1.0)
     if tail == "bincount":
         # counts are bounded by how many items were counted (the
@@ -446,15 +421,15 @@ class _BoundsLattice:
 
 def _cast_sites(node):
     """(line, expr-being-cast) for each int32 cast at this CFG node."""
-    for sub in _walk_headers(_roots(node)):
+    for sub in walk_scope(_roots(node)):
         if not isinstance(sub, ast.Call):
             continue
         if (isinstance(sub.func, ast.Attribute)
                 and sub.func.attr == "astype"
                 and any(_is_int32(a) for a in sub.args)):
             yield sub.lineno, sub.func.value
-        elif _dotted(sub.func).split(".")[-1] == "int32" and sub.args:
-            if _dotted(sub.func) != "int32":     # np.int32(x), not a var
+        elif dotted(sub.func).split(".")[-1] == "int32" and sub.args:
+            if dotted(sub.func) != "int32":     # np.int32(x), not a var
                 yield sub.lineno, sub.args[0]
 
 
@@ -499,7 +474,7 @@ def _check_function(sf: SourceFile, fn, ann: _Annotation) -> list:
     return findings
 
 
-def analyze(sf: SourceFile, ex) -> list[Finding]:
+def analyze(sf: SourceFile) -> list[Finding]:
     """All dtype-bounds findings of one module (annotated fns only)."""
     anns, findings = _parse_annotations(sf)
     if not anns:

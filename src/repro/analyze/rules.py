@@ -22,9 +22,9 @@ rule id                   invariant
 ========================  ====================================================
 
 The former ``shm-lifecycle`` rule is superseded by the path-sensitive
-``resource-safety`` pass (:mod:`repro.analyze.passes.resource_safety`),
-which tracks shm handles — plus pools, files, and sockets — through an
-acquired→released lattice over the function's CFG instead of pattern
+``resource-safety`` rule (:mod:`repro.analyze.passes.obligations`),
+which tracks shm handles — plus pools, files, and sockets — through a
+live-sites lattice over the function's CFG instead of pattern
 matching for a ``finally``.
 
 Since analyze v2 these rules are *fact consumers*: they read the
@@ -54,23 +54,12 @@ import ast
 from typing import TYPE_CHECKING, Iterable
 
 from .engine import Finding, SourceFile
+from .index import dotted
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .index import Extractor
 
 __all__ = ["run_local_rules"]
-
-
-def _dotted(node: ast.AST) -> str:
-    """Best-effort dotted name of an expression (``np.random.shuffle``)."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return ""
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +116,7 @@ def _handles(handler: ast.ExceptHandler) -> bool:
         if isinstance(node, ast.Raise):
             return True
         if isinstance(node, ast.Call):
-            name = _dotted(node.func)
+            name = dotted(node.func)
             root, _, attr = name.partition(".")
             if root in _LOGGING_ROOTS:
                 return True
@@ -139,7 +128,7 @@ def _handles(handler: ast.ExceptHandler) -> bool:
 def silent_except(sf: SourceFile, ex: "Extractor") -> Iterable[Finding]:
     for handler in ex.handlers:
         if _is_broad(handler) and not _handles(handler):
-            caught = (_dotted(handler.type) if handler.type is not None
+            caught = (dotted(handler.type) if handler.type is not None
                       else "all")
             yield Finding(
                 path=sf.posix, line=handler.lineno, rule="silent-except",

@@ -63,12 +63,15 @@ def hierarchical_lambdas(
     pin_leaf = labels[pins]
     edge_ids = np.repeat(np.arange(m, dtype=np.int64), np.diff(ptr))
     for level in range(1, topology.depth + 1):
+        # distinct (edge, subtree) codes by a sort and a neighbour
+        # compare: a plain np.unique takes NumPy 2.4's hash path, which
+        # timed 30-55x slower on 3*10^5-10^6 random int64 codes (2 CPUs)
         width = int(anc[level].max()) + 1
-        codes = edge_ids * width + anc[level][pin_leaf]
-        uniq = np.unique(codes)
-        lam = np.zeros(m, dtype=np.int64)
-        np.add.at(lam, uniq // width, 1)
-        out[level] = lam
+        codes = np.sort(edge_ids * width + anc[level][pin_leaf])
+        first = np.empty(codes.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(codes[1:], codes[:-1], out=first[1:])
+        out[level] = np.bincount(codes[first] // width, minlength=m)
     # Empty hyperedges have no pins: force λ^{(i)} = 1 so the cost is 0.
     sizes = np.diff(ptr)
     out[:, sizes == 0] = 1

@@ -53,9 +53,10 @@ class Schedule:
         if self.times.min() < 1:
             return False
         # correctness: distinct (processor, time) slots — encode each
-        # slot as one integer so uniqueness is a single np.unique pass
-        codes = self.procs * (self.times.max() + 1) + self.times
-        if np.unique(codes).shape[0] != n:
+        # slot as one integer, sort, and compare neighbours (a plain
+        # np.unique takes NumPy 2.4's slower hash path)
+        codes = np.sort(self.procs * (self.times.max() + 1) + self.times)
+        if np.any(codes[1:] == codes[:-1]):
             return False
         # precedence, vectorised over the edge arrays
         if not dag.edges:

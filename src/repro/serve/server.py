@@ -75,7 +75,6 @@ class ServeConfig:
     batch_window_s: float = 0.01
     queue_limit: int = 128
     default_deadline_s: float = 60.0
-    small_pins: int = 20_000
     cache_dir: str | None = ".lab-cache"
     journal_path: str | None = None
     #: Mesh shard identity; echoed in /healthz and job handles so the
@@ -102,7 +101,7 @@ class Server:
             batch_window_s=cfg.batch_window_s,
             queue_limit=cfg.queue_limit,
             default_deadline_s=cfg.default_deadline_s,
-            small_pins=cfg.small_pins, cache=cache, journal=journal,
+            cache=cache, journal=journal,
             metrics=self.metrics, debug_slow_s=cfg.debug_slow_s)
         self._server: asyncio.AbstractServer | None = None
         self._started_ts = time.time()

@@ -111,6 +111,32 @@ class TestTaskLifecycle:
         p = write(tmp_path, "tests/test_mod.py", self.FIRE_AND_FORGET)
         assert analyze_paths([p]) == []
 
+    # a method is one scope: each finding in it is reported once
+    def test_fire_and_forget_in_a_method_fires_once(self, tmp_path):
+        p = write(tmp_path, "src/repro/mod.py",
+                  "import asyncio\n"
+                  "class Svc:\n"
+                  "    async def kick(self, coro):\n"
+                  "        asyncio.create_task(coro)\n")
+        fs = analyze_paths([p])
+        assert rules_of(fs) == ["task-lifecycle"]
+        assert fs[0].line == 4
+        assert "fire-and-forget" in fs[0].message
+
+    def test_abandoning_path_in_a_method_fires_once(self, tmp_path):
+        p = write(tmp_path, "src/repro/mod.py",
+                  "import asyncio\n"
+                  "class Svc:\n"
+                  "    async def race(self, coro, flag):\n"
+                  "        t = asyncio.create_task(coro)\n"
+                  "        if flag:\n"
+                  "            return None\n"
+                  "        return await t\n")
+        fs = analyze_paths([p])
+        assert rules_of(fs) == ["task-lifecycle"]
+        assert fs[0].line == 4
+        assert "witness: spawn@4 -> exit" in fs[0].message
+
 
 class TestLockDiscipline:
     """A sync lock on a coroutine path: ``with lock:`` is an acquire,

@@ -298,6 +298,8 @@ def test_mutation_is_reported_by_its_rules(mutant_tree, r):
         report = run_analysis(paths, incremental=True, cache_dir=cache)
     finally:
         target.write_text(original)
+    rendered = [f.render() for f in report.findings if f.render() not in base]
+    assert len(set(rendered)) == len(rendered), "a finding reported twice"
     new = {f.rule for f in report.findings if f.render() not in base}
     assert new == r.rules
     if r.test is not None:
