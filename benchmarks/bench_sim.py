@@ -32,11 +32,11 @@ import hashlib
 import json
 from pathlib import Path
 
-from repro.core import Metric
+from repro.algorithms import run_algorithm
 from repro.core.workers import fork_map
 from repro.generators import make_workload
 from repro.hierarchy.topology import HierarchyTopology
-from repro.sim import DurationSpec, SimPlan, simulate
+from repro.sim import PARTITION_EPS, DurationSpec, SimPlan, simulate
 
 from _util import print_table
 
@@ -51,6 +51,7 @@ FULL_TOPOLOGIES = (("flat4", (4,), (1.0,)),
                    ("tree2x4", (2, 4), (4.0, 1.0)))
 SMOKE_TOPOLOGIES = (("tree2x4", (2, 4), (4.0, 1.0)),)
 
+#: A subset of the names in :data:`repro.algorithms.ALGORITHMS`.
 PARTITIONERS = ("multilevel", "spectral", "random")
 SCHEDULERS = ("heft", "cp-list", "work-steal", "locked", "random")
 IMODES = ("exact", "mean", "blind")
@@ -78,23 +79,6 @@ def _config(smoke: bool) -> dict:
     }
 
 
-def _partition_labels(graph, k: int, algorithm: str, seed: int):
-    eps = 0.1
-    if algorithm == "spectral":
-        from repro.partitioners import spectral_partition
-        part = spectral_partition(graph, k, eps, Metric.CONNECTIVITY,
-                                  rng=seed)
-    elif algorithm == "random":
-        from repro.partitioners import random_balanced_partition
-        part = random_balanced_partition(graph, k, eps, rng=seed,
-                                         relaxed=True)
-    else:
-        from repro.partitioners import multilevel_partition
-        part = multilevel_partition(graph, k, eps, Metric.CONNECTIVITY,
-                                    rng=seed)
-    return part.labels
-
-
 def _run_group(group: tuple) -> list[dict]:
     """All (scheduler x imode) cells of one (workload, topology,
     partitioner) triple — the plan and partition are built once."""
@@ -103,7 +87,8 @@ def _run_group(group: tuple) -> list[dict]:
     graph = make_workload(kind, n=n, seed=seed)
     topo = HierarchyTopology(tuple(b), tuple(g))
     plan = SimPlan.from_hypergraph(graph)
-    labels = _partition_labels(graph, topo.k, algorithm, seed)
+    labels = run_algorithm(algorithm, graph, topo.k, PARTITION_EPS,
+                           seed=seed).labels
     cells = []
     for scheduler in schedulers:
         for imode in imodes:

@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 #: Bump to invalidate every cached summary (rule/pass/format changes).
-ENGINE_VERSION = "analyze-v5.2"
+ENGINE_VERSION = "analyze-v5.3"
 
 #: Constructors whose result is an explicit, caller-owned Generator.
 RNG_CONSTRUCTORS = {"numpy.random.default_rng", "numpy.random.Generator"}

@@ -307,6 +307,7 @@ class _Lattice:
         """``x is None`` / ``x is not None`` branch narrowing."""
         test = edge.test
         if not (isinstance(test, ast.Compare) and len(test.ops) == 1
+                and isinstance(test.ops[0], (ast.Is, ast.IsNot))
                 and isinstance(test.left, ast.Name)
                 and isinstance(test.comparators[0], ast.Constant)
                 and test.comparators[0].value is None):
@@ -321,10 +322,10 @@ class _Lattice:
 def _scopes(tree: ast.Module):
     """The module, then every function once, with its class if a method."""
     yield tree, None
-    owner: dict[ast.AST, str] = {}
+    owner: dict[ast.AST, ast.ClassDef] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
-            owner.update((sub, node.name) for sub in node.body)
+            owner.update((sub, node) for sub in node.body)
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node, owner.get(node)
 
@@ -386,10 +387,8 @@ def analyze(sf: SourceFile) -> list[Finding]:
     if not sf.in_src:
         return []
     findings: list[Finding] = []
-    classes = {n.name: n for n in ast.walk(sf.tree)
-               if isinstance(n, ast.ClassDef)}
-    attr_checked: set[tuple[str, str]] = set()
-    for scope, cls_name in _scopes(sf.tree):
+    attr_checked: set[tuple[ast.ClassDef, str]] = set()
+    for scope, cls in _scopes(sf.tree):
         parents: dict[ast.AST, ast.AST] = {}
         calls = []
         for node in walk_scope(scope.body):
@@ -409,15 +408,15 @@ def analyze(sf: SourceFile) -> list[Finding]:
                     message=rule.bare.format(kind=kind, api=api,
                                              note=_LEAK_NOTE[kind])))
             elif role == "attr":
-                if cls_name is None or (cls_name, name) in attr_checked:
+                if cls is None or (cls, name) in attr_checked:
                     continue
-                attr_checked.add((cls_name, name))
-                if not _attr_discharged(classes[cls_name], name):
+                attr_checked.add((cls, name))
+                if not _attr_discharged(cls, name):
                     findings.append(Finding(
                         path=sf.posix, line=call.lineno, rule=rule.id,
                         message=f"task stored on self.{name} is never "
                                 f"awaited, cancelled, or handed off by "
-                                f"any method of {cls_name}; shutdown "
+                                f"any method of {cls.name}; shutdown "
                                 "leaks it and its exception is "
                                 "swallowed"))
             elif role == "bind":

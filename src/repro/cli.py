@@ -44,6 +44,7 @@ import sys
 
 import numpy as np
 
+from .algorithms import ALGORITHMS, run_algorithm
 from .core import (
     Metric,
     connectivity_cost,
@@ -54,9 +55,6 @@ from .core import (
 from .io import read_hgr, read_partition, write_partition
 
 __all__ = ["main"]
-
-_ALGORITHMS = ("multilevel", "recursive", "greedy", "spectral", "random",
-               "exact")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,7 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, default=2, help="number of parts")
     p.add_argument("--eps", type=float, default=0.03,
                    help="balance slack ε (default 0.03)")
-    p.add_argument("--algorithm", choices=_ALGORITHMS, default="multilevel")
+    p.add_argument("--algorithm", choices=list(ALGORITHMS),
+                   default="multilevel")
     p.add_argument("--metric", choices=["connectivity", "cut-net"],
                    default="connectivity")
     p.add_argument("--seed", type=int, default=0)
@@ -124,34 +123,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _partition(args) -> int:
     graph = read_hgr(args.hgr)
-    metric = (Metric.CONNECTIVITY if args.metric == "connectivity"
-              else Metric.CUT_NET)
-    if args.algorithm == "multilevel":
-        from .partitioners import multilevel_partition
-        part = multilevel_partition(graph, args.k, args.eps, metric,
-                                    rng=args.seed,
-                                    repetitions=args.repetitions,
-                                    n_jobs=args.jobs)
-    elif args.algorithm == "recursive":
-        from .partitioners import recursive_partition
-        part = recursive_partition(graph, args.k, args.eps, metric,
-                                   rng=args.seed, relaxed=True)
-    elif args.algorithm == "greedy":
-        from .partitioners import greedy_sequential_partition
-        part = greedy_sequential_partition(graph, args.k, args.eps, metric,
-                                           rng=args.seed, relaxed=True)
-    elif args.algorithm == "spectral":
-        from .partitioners import spectral_partition
-        part = spectral_partition(graph, args.k, args.eps, metric,
-                                  rng=args.seed)
-    elif args.algorithm == "random":
-        from .partitioners import random_balanced_partition
-        part = random_balanced_partition(graph, args.k, args.eps,
-                                         rng=args.seed, relaxed=True)
-    else:  # exact
-        from .partitioners import exact_partition
-        part = exact_partition(graph, args.k, args.eps, metric,
-                               relaxed=True).partition
+    part = run_algorithm(args.algorithm, graph, args.k, args.eps,
+                         Metric(args.metric), seed=args.seed,
+                         repetitions=args.repetitions, n_jobs=args.jobs)
     conn = connectivity_cost(graph, part.labels, args.k)
     cut = cut_net_cost(graph, part.labels, args.k)
     print(f"algorithm     : {args.algorithm}")

@@ -62,7 +62,6 @@ class Hypergraph:
         "_adj_ptr",
         "_adj_nodes",
         "_degrees",
-        "_retain",
         "__weakref__",
     )
 
@@ -92,7 +91,6 @@ class Hypergraph:
         self._adj_ptr: np.ndarray | None = None
         self._adj_nodes: np.ndarray | None = None
         self._degrees: np.ndarray | None = None
-        self._retain: object | None = None
 
     @classmethod
     def from_csr(
@@ -131,7 +129,6 @@ class Hypergraph:
         self._adj_ptr = None
         self._adj_nodes = None
         self._degrees = None
-        self._retain = None
         return self
 
     def _init_weights(self, node_weights, edge_weights, copy: bool = True) -> None:
@@ -234,30 +231,14 @@ class Hypergraph:
         ptr, ne = self.incidence()
         return ne[ptr[v] : ptr[v + 1]]
 
-    def adopt_incidence(self, node_ptr: np.ndarray,
-                        node_edges: np.ndarray) -> None:
-        """Seed the incidence cache with precomputed arrays (zero-copy).
-
-        Used by the shared-memory handoff so worker processes reuse the
-        parent's transpose instead of rebuilding it (an O(ρ) allocation
-        per worker otherwise).  Arrays must match what
-        :func:`repro.core.kernels.incidence_from_csr` would produce.
-        """
-        node_ptr = np.asarray(node_ptr, dtype=np.int64)
-        node_edges = np.asarray(node_edges, dtype=np.int64)
-        if node_ptr.shape != (self.n + 1,) or node_edges.size != self.num_pins:
-            raise InvalidHypergraphError("incidence arrays have wrong shape")
-        self._node_ptr, self._node_edges = node_ptr, node_edges
-
     def drop_caches(self) -> None:
         """Forget the derived views: incidence, adjacency, degrees and
         edge tuples.
 
         Each is rebuilt from the CSR arrays on its next use, so this
-        only trades memory for a later rebuild.  The CSR arrays, the
-        weights and any shared-memory owner kept alive with them are
-        untouched.  The V-cycle calls it on coarse levels that wait for
-        the ascent.
+        only trades memory for a later rebuild.  The CSR arrays and the
+        weights are untouched.  The V-cycle calls it on coarse levels
+        that wait for the ascent.
         """
         self._edges_tup = None
         self._node_ptr = None

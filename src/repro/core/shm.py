@@ -13,8 +13,8 @@ Two layers:
   with an explicit lifecycle: the *owner* (creator) unlinks, *attachers*
   only close.  Both sides support ``with``.
 * :class:`SharedCSR` — the hypergraph-shaped bundle (edge ptr/pins,
-  weights, optionally the incidence CSR so workers never recompute it)
-  plus ``from_hypergraph`` / ``hypergraph`` converters.
+  weights and the incidence CSR, so workers never recompute it) that
+  the sub-round ``RoundPool`` workers read array by array.
 
 Lifecycle rules (the Python >= 3.8 footguns this module absorbs):
 
@@ -208,80 +208,45 @@ def _align(offset: int, align: int = 8) -> int:
 
 
 class SharedCSR:
-    """A hypergraph's CSR arrays in shared memory.
+    """A hypergraph's CSR and incidence arrays in shared memory.
 
     ``from_hypergraph`` is called once by the parent; workers call
-    ``attach(descriptor)`` and ``hypergraph()`` for a zero-copy view.
-    The incidence CSR is included by default so attachers never pay the
-    O(pins) transpose again (it is cached on the Hypergraph anyway).
+    ``attach(descriptor)`` and read the arrays by field name
+    (``edge_ptr``, ``edge_pins``, ``node_ptr``, ``node_edges``,
+    ``node_weights``, ``edge_weights``), so they never pay the O(pins)
+    incidence transpose again.
     """
 
-    def __init__(self, arrays: SharedArrays, n: int, name: str | None) -> None:
+    def __init__(self, arrays: SharedArrays, n: int) -> None:
         self._arrays = arrays
         self.n = int(n)
-        self.graph_name = name
 
     @classmethod
-    def from_hypergraph(cls, graph: Hypergraph, *,
-                        include_incidence: bool = True) -> "SharedCSR":
+    def from_hypergraph(cls, graph: Hypergraph) -> "SharedCSR":
         ptr, pins = graph.csr()
-        fields = {
+        node_ptr, node_edges = graph.incidence()
+        return cls(SharedArrays.create({
             "edge_ptr": ptr,
             "edge_pins": pins,
             "node_weights": graph.node_weights,
             "edge_weights": graph.edge_weights,
-        }
-        if include_incidence:
-            node_ptr, node_edges = graph.incidence()
-            fields["node_ptr"] = node_ptr
-            fields["node_edges"] = node_edges
-        return cls(SharedArrays.create(fields), graph.n, graph.name)
+            "node_ptr": node_ptr,
+            "node_edges": node_edges,
+        }), graph.n)
 
     @classmethod
     def attach(cls, descriptor: dict) -> "SharedCSR":
-        arrays = SharedArrays.attach(descriptor["arrays"])
-        return cls(arrays, descriptor["n"], descriptor.get("name"))
+        return cls(SharedArrays.attach(descriptor["arrays"]), descriptor["n"])
 
     def descriptor(self) -> dict:
-        return {"arrays": self._arrays.descriptor(), "n": self.n,
-                "name": self.graph_name}
+        return {"arrays": self._arrays.descriptor(), "n": self.n}
 
     def __getitem__(self, field: str) -> np.ndarray:
         return self._arrays[field]
 
     @property
-    def has_incidence(self) -> bool:
-        return "node_ptr" in self._arrays._fields
-
-    @property
-    def payload_bytes(self) -> int:
-        return self._arrays.nbytes
-
-    @property
     def segment_name(self) -> str:
         return self._arrays.name
-
-    def hypergraph(self) -> Hypergraph:
-        """Zero-copy Hypergraph over the shared buffers.
-
-        The arrays are views into the segment: neither this process nor
-        the graph copies them, which is what keeps worker RSS below the
-        1.5x-payload budget.  The graph *retains this handle*: numpy
-        views do not keep a ``SharedMemory`` mapping alive on their own
-        (its finaliser unmaps the segment and the views then read freed
-        pages — a segfault, not an exception), so the handle must outlive
-        every view and the returned graph pins it.
-        """
-        g = Hypergraph.from_csr(self.n, self._arrays["edge_ptr"],
-                                self._arrays["edge_pins"],
-                                node_weights=self._arrays["node_weights"],
-                                edge_weights=self._arrays["edge_weights"],
-                                name=self.graph_name, copy=False)
-        if self.has_incidence:
-            g.adopt_incidence(self._arrays["node_ptr"],
-                              self._arrays["node_edges"])
-        g._retain = self
-        return g
 
     # -- lifecycle (delegates) ------------------------------------------
 

@@ -59,6 +59,9 @@ CLUSTER_SLACK = 3.0
 # fewer = larger parallel stages (better scaling); 8 is the KaHyPar-D
 # neighbourhood.  Tiny graphs collapse to one sub-round.
 _NUM_SUBROUNDS = 8
+# Rounds of sub-round FM per refinement call; a round that improves
+# nothing ends the call earlier.
+_FM_MAX_ROUNDS = 8
 # Use pool workers only when a level is big enough that the stage work
 # dwarfs one pipe round-trip (~100 us) per worker.
 POOL_MIN_PINS = 65_536
@@ -746,7 +749,6 @@ def subround_fm_refine(
     metric: Metric = Metric.CONNECTIVITY,
     caps: np.ndarray | None = None,
     pool: RoundPool | None = None,
-    max_rounds: int = 8,
 ) -> Partition:
     """Synchronous boundary-FM refinement (sub-round variant).
 
@@ -803,7 +805,7 @@ def subround_fm_refine(
     best_gain = np.empty(n, dtype=np.float64)
     best_tgt = np.empty(n, dtype=np.int64)
     try:
-        for _ in range(max_rounds):
+        for _ in range(_FM_MAX_ROUNDS):
             improved = False
             for rnd in range(_NUM_SUBROUNDS):
                 nodes = rnd + _NUM_SUBROUNDS * np.flatnonzero(
@@ -908,7 +910,6 @@ def _reference_subround_fm_refine(
     metric: Metric = Metric.CONNECTIVITY,
     caps: np.ndarray | None = None,
     pool: RoundPool | None = None,
-    max_rounds: int = 8,
 ) -> Partition:
     """Old ``subround_fm_refine`` pass loop: every sub-round rescans all
     pins for the boundary and re-rates every boundary node in it.
@@ -943,7 +944,7 @@ def _reference_subround_fm_refine(
     np.add.at(part_w, labels, nw)
     edge_sizes = np.diff(ptr)
     try:
-        for _ in range(max_rounds):
+        for _ in range(_FM_MAX_ROUNDS):
             improved = False
             for rnd in range(_NUM_SUBROUNDS):
                 cut = edge_nz >= 2

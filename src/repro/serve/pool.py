@@ -38,6 +38,7 @@ from ..lab.executor import read_result, write_result
 
 __all__ = ["BatchMember", "MemberOutcome", "run_batch"]
 
+# How often the parent looks for the worker's per-member result files.
 _POLL_S = 0.004
 
 
@@ -100,7 +101,6 @@ async def run_batch(
     members: Sequence[BatchMember],
     *,
     on_outcome: Callable[[BatchMember, MemberOutcome], None],
-    poll_s: float = _POLL_S,
     debug_slow_s: float = 0.0,
 ) -> None:
     """Dispatch ``members`` to one worker process and stream outcomes.
@@ -173,7 +173,7 @@ async def run_batch(
                               "and no result"))
                 pending.clear()
                 return
-            await asyncio.sleep(poll_s)
+            await asyncio.sleep(_POLL_S)
         # all members resolved; reap the worker (it exits right after
         # its last write, so the grace path in stop is rarely hit)
         stop(proc)

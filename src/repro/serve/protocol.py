@@ -44,12 +44,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+from ..algorithms import ALGORITHMS
 from ..errors import ServeProtocolError
 from ..generators.factory import WORKLOAD_KINDS
 from ..io.hmetis import hgr_content_lines
 
 __all__ = [
-    "ALGORITHMS",
     "JobRequest",
     "OPS",
     "build_graph",
@@ -58,8 +58,6 @@ __all__ = [
 ]
 
 OPS = ("partition", "schedule", "recognize", "simulate")
-ALGORITHMS = ("multilevel", "recursive", "greedy", "spectral", "random",
-              "exact")
 METRICS = ("connectivity", "cut-net")
 MODES = ("auto", "sync", "async")
 
@@ -231,6 +229,15 @@ def _parse_stream_ref(ref: Any) -> tuple[dict, int]:
     return {"stream": spec}, dims["pins"]
 
 
+def _parse_algorithm(obj: dict) -> str:
+    algorithm = obj.get("algorithm", "multilevel")
+    # a JSON list or object is unhashable: test the type before the keys
+    _require(isinstance(algorithm, str) and algorithm in ALGORITHMS,
+             f"unknown algorithm {algorithm!r}; "
+             f"known: {', '.join(ALGORITHMS)}")
+    return algorithm
+
+
 #: Scheduler / imode / distribution vocabularies for the simulate op.
 #: Kept as literals (not imports from repro.sim) so request validation
 #: stays import-light in the asyncio server process.
@@ -283,11 +290,7 @@ def _parse_simulate(obj: Any, params: dict[str, Any]) -> None:
     latency = _as_num(obj.get("latency", 0.0), "'latency'")
     _require(latency >= 0, "'latency' must be >= 0")
     params["latency"] = latency
-    algorithm = obj.get("algorithm", "multilevel")
-    _require(algorithm in ALGORITHMS,
-             f"unknown algorithm {algorithm!r}; "
-             f"known: {', '.join(ALGORITHMS)}")
-    params["algorithm"] = algorithm
+    params["algorithm"] = _parse_algorithm(obj)
 
 
 def parse_job_request(obj: Any) -> JobRequest:
@@ -314,11 +317,7 @@ def parse_job_request(obj: Any) -> JobRequest:
         _require(metric in METRICS,
                  f"unknown metric {metric!r}; known: {', '.join(METRICS)}")
         params["metric"] = metric
-        algorithm = obj.get("algorithm", "multilevel")
-        _require(algorithm in ALGORITHMS,
-                 f"unknown algorithm {algorithm!r}; "
-                 f"known: {', '.join(ALGORITHMS)}")
-        params["algorithm"] = algorithm
+        params["algorithm"] = _parse_algorithm(obj)
     seed = _as_int(obj.get("seed", 0), "'seed'")
     deadline = obj.get("deadline_s")
     if deadline is not None:

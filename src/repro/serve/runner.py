@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
+from ..algorithms import run_algorithm
 from ..lab.cache import task_key
 from ..lab.spec import ExperimentSpec
 from .protocol import JobRequest, build_graph
@@ -56,30 +57,9 @@ def _solve_partition(graph, *, seed: int, params: Mapping[str, Any]) -> dict:
 
     k = params["k"]
     eps = params["eps"]
-    metric = (Metric.CONNECTIVITY if params["metric"] == "connectivity"
-              else Metric.CUT_NET)
     algorithm = params["algorithm"]
-    if algorithm == "multilevel":
-        from ..partitioners import multilevel_partition
-        part = multilevel_partition(graph, k, eps, metric, rng=seed)
-    elif algorithm == "recursive":
-        from ..partitioners import recursive_partition
-        part = recursive_partition(graph, k, eps, metric, rng=seed,
-                                   relaxed=True)
-    elif algorithm == "greedy":
-        from ..partitioners import greedy_sequential_partition
-        part = greedy_sequential_partition(graph, k, eps, metric, rng=seed,
-                                           relaxed=True)
-    elif algorithm == "spectral":
-        from ..partitioners import spectral_partition
-        part = spectral_partition(graph, k, eps, metric, rng=seed)
-    elif algorithm == "random":
-        from ..partitioners import random_balanced_partition
-        part = random_balanced_partition(graph, k, eps, rng=seed,
-                                         relaxed=True)
-    else:  # exact (size-guarded; raises ProblemTooLargeError when huge)
-        from ..partitioners import exact_partition
-        part = exact_partition(graph, k, eps, metric, relaxed=True).partition
+    part = run_algorithm(algorithm, graph, k, eps, Metric(params["metric"]),
+                         seed=seed)
     return {
         "labels": part.labels.tolist(),
         "sizes": part.sizes().tolist(),
@@ -114,28 +94,9 @@ def _solve_schedule(graph, *, params: Mapping[str, Any]) -> dict:
     }
 
 
-def _sim_partition_labels(graph, k: int, algorithm: str, seed: int):
-    from ..core import Metric
-
-    eps = 0.1
-    if algorithm == "spectral":
-        from ..partitioners import spectral_partition
-        part = spectral_partition(graph, k, eps, Metric.CONNECTIVITY,
-                                  rng=seed)
-    elif algorithm == "random":
-        from ..partitioners import random_balanced_partition
-        part = random_balanced_partition(graph, k, eps, rng=seed,
-                                         relaxed=True)
-    else:
-        from ..partitioners import multilevel_partition
-        part = multilevel_partition(graph, k, eps, Metric.CONNECTIVITY,
-                                    rng=seed)
-    return part.labels
-
-
 def _solve_simulate(graph, *, seed: int, params: Mapping[str, Any]) -> dict:
     from ..hierarchy.topology import HierarchyTopology
-    from ..sim import DurationSpec, SimPlan, simulate
+    from ..sim import PARTITION_EPS, DurationSpec, SimPlan, simulate
 
     plan = SimPlan.from_hypergraph(graph)
     topo_spec = params.get("topology")
@@ -144,8 +105,8 @@ def _solve_simulate(graph, *, seed: int, params: Mapping[str, Any]) -> dict:
                                  tuple(topo_spec["g"]))
     else:
         topo = HierarchyTopology.flat(params["k"])
-    labels = _sim_partition_labels(graph, topo.k, params["algorithm"],
-                                   seed)
+    labels = run_algorithm(params["algorithm"], graph, topo.k,
+                           PARTITION_EPS, seed=seed).labels
     trace = simulate(plan, topo, params["scheduler"], seed=seed,
                      imode=params["imode"],
                      duration=DurationSpec(kind=params["dist"]),

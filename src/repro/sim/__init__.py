@@ -24,11 +24,17 @@ from .schedulers import (
 )
 from .simulator import SimTrace, simulate
 
+#: Balance slack ε of the partition feeding the partition-aware
+#: schedulers (``locked``, ``work-steal``) in ``repro sim``, the serve
+#: ``simulate`` op and ``benchmarks/bench_sim.py``.
+PARTITION_EPS = 0.1
+
 __all__ = [
     "DURATION_KINDS",
     "INFORMATION_MODES",
     "DurationSpec",
     "NetworkModel",
+    "PARTITION_EPS",
     "SCHEDULERS",
     "Scheduler",
     "SimContext",

@@ -21,6 +21,7 @@ import sys
 
 import numpy as np
 
+from ..algorithms import ALGORITHMS, run_algorithm
 from ..errors import ReproError
 
 __all__ = ["add_sim_parser", "sim_main"]
@@ -61,8 +62,9 @@ def add_sim_parser(sub) -> None:
         q.add_argument("--slots", type=int, default=1,
                        help="CPU slots per leaf worker")
         q.add_argument("--algorithm", default="multilevel",
+                       choices=list(ALGORITHMS),
                        help="partitioner feeding partition-aware "
-                            "schedulers (multilevel|spectral|random)")
+                            "schedulers")
         q.add_argument("--seed", type=int, default=0)
 
     r = ssub.add_parser("run", help="simulate one scheduler/imode")
@@ -83,58 +85,28 @@ def add_sim_parser(sub) -> None:
 
 def _load(args):
     """(plan, topology, duration spec, partition labels) from args."""
+    from ..hierarchy.topology import HierarchyTopology
     from ..io import read_hgr
+    from . import PARTITION_EPS
     from .durations import DurationSpec
     from .plan import SimPlan
 
     graph = read_hgr(args.hgr)
     if args.topology is not None:
-        from ..hierarchy.topology import HierarchyTopology
         b = _csv_ints(args.topology)
         g = (_csv_floats(args.g) if args.g is not None
              else tuple(float(2 ** (len(b) - 1 - i))
                         for i in range(len(b))))
         topo = HierarchyTopology(b, g)
     else:
-        from ..hierarchy.topology import HierarchyTopology
         topo = HierarchyTopology.flat(args.k)
-    dag = _to_dag(graph)
-    plan = SimPlan.from_dag(dag, sizes=np.full(dag.n, float(args.size)))
+    plan = SimPlan.from_hypergraph(graph,
+                                   sizes=np.full(graph.n, float(args.size)))
     spec = DurationSpec(kind=args.dist, jitter=args.jitter,
                         sigma=args.sigma)
-    labels = _partition_labels(graph, topo.k, args)
+    labels = run_algorithm(args.algorithm, graph, topo.k, PARTITION_EPS,
+                           seed=args.seed).labels
     return plan, topo, spec, labels
-
-
-def _to_dag(graph):
-    from ..core.hyperdag import recognize, to_dag
-    from ..errors import NotAHyperDAGError
-
-    cert = recognize(graph)
-    if cert is None:
-        raise NotAHyperDAGError(
-            f"{graph.name or 'input'} is not a hyperDAG; "
-            "`repro sim` needs a schedulable plan (Lemma B.1)")
-    return to_dag(graph, cert)
-
-
-def _partition_labels(graph, k: int, args) -> np.ndarray:
-    from ..core import Metric
-
-    eps = 0.1
-    if args.algorithm == "spectral":
-        from ..partitioners import spectral_partition
-        part = spectral_partition(graph, k, eps, Metric.CONNECTIVITY,
-                                  rng=args.seed)
-    elif args.algorithm == "random":
-        from ..partitioners import random_balanced_partition
-        part = random_balanced_partition(graph, k, eps, rng=args.seed,
-                                         relaxed=True)
-    else:
-        from ..partitioners import multilevel_partition
-        part = multilevel_partition(graph, k, eps, Metric.CONNECTIVITY,
-                                    rng=args.seed)
-    return part.labels
 
 
 def _run_one(plan, topo, spec, labels, scheduler: str, imode: str,

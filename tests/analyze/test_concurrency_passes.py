@@ -107,6 +107,29 @@ class TestTaskLifecycle:
                   "    pass\n")
         assert analyze_paths([p]) == []
 
+    def test_attr_checked_on_its_own_class_of_a_shared_name(self, tmp_path):
+        # two classes named alike: each method is checked against the
+        # class it is defined in, not the last class of that name
+        p = write(tmp_path, "src/repro/mod.py",
+                  "import asyncio\n"
+                  "FLAG = True\n"
+                  "if FLAG:\n"
+                  "    class Loop:\n"
+                  "        def start(self):\n"
+                  "            self._task = asyncio.ensure_future(run())\n"
+                  "else:\n"
+                  "    class Loop:\n"
+                  "        def start(self):\n"
+                  "            self._task = asyncio.ensure_future(run())\n"
+                  "        def stop(self):\n"
+                  "            self._task.cancel()\n"
+                  "async def run():\n"
+                  "    pass\n")
+        fs = analyze_paths([p])
+        assert rules_of(fs) == ["task-lifecycle"]
+        assert fs[0].line == 6
+        assert "self._task" in fs[0].message
+
     def test_tests_tree_is_out_of_scope(self, tmp_path):
         p = write(tmp_path, "tests/test_mod.py", self.FIRE_AND_FORGET)
         assert analyze_paths([p]) == []

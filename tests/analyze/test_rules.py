@@ -262,6 +262,22 @@ class TestResourceSafety:
                   "    handles.append(shared)\n")
         assert analyze_paths([p]) == []
 
+    def test_equality_with_none_does_not_narrow(self, tmp_path):
+        # `fh == None` is not an identity test: only `is None` and
+        # `is not None` narrow, so the else arm keeps the live handle
+        p = write(tmp_path, "src/repro/mod.py",
+                  "def head(path):\n"
+                  "    fh = open(path)\n"
+                  "    if fh == None:\n"
+                  "        line = None\n"
+                  "    else:\n"
+                  "        return fh.readline()\n"
+                  "    fh.close()\n"
+                  "    return line\n")
+        fs = analyze_paths([p])
+        assert rules_of(fs) == ["resource-safety"]
+        assert fs[0].line == 2
+
     def test_attach_is_out_of_scope(self, tmp_path):
         p = write(tmp_path, "src/repro/mod.py", self.HEAD +
                   "def view(desc):\n"
